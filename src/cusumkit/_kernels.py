@@ -1,5 +1,12 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
+The Lindley kernel is the last stage of the Monte Carlo chunk pipeline in
+simulate.py: Philox uniforms (rng.uniform_block), then the model's inverse
+CDF (IncrementModel.quantile), then the fold here, on chunks of about one
+million elements so each stage's output is still in cache for the next.
+The numpy fold keeps the rep-major (reps, n) layout and updates its two
+per-path accumulators in place, one column per step.
+
 The fallback is selected automatically when numba is unavailable, or
 explicitly by setting the environment variable CUSUMKIT_NO_NUMBA=1 before
 import.  Both paths produce bit-identical results for the Lindley kernel
@@ -40,7 +47,8 @@ def _lindley_block_np(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.zeros(reps)
     mx = np.zeros(reps)
     for t in range(n):
-        w = np.maximum(w + y[:, t], 0.0)
+        np.add(w, y[:, t], out=w)
+        np.maximum(w, 0.0, out=w)
         np.maximum(mx, w, out=mx)
     return w, mx
 

@@ -249,7 +249,11 @@ def _build_pair(args):
 
 
 def _read_values(path: str, field: str) -> np.ndarray:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return np.empty(0)

@@ -20,9 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from .errors import (
     DivergentMoment,
+    NoConvergence,
     NoPositiveRoot,
     NotAnLLRModel,
     OutOfDomain,
@@ -84,6 +86,15 @@ class IncrementModel:
         """True when Y is a log-likelihood-ratio increment (E exp(Y) = 1)."""
         return False
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF: increments distributed as Y from uniforms u in (0, 1).
+
+        The only map from uniforms to increments; Monte Carlo output for a
+        seed is fixed by it, so it must stay bit-identical across releases.
+        Returns a new C-contiguous array of the shape of u.
+        """
+        raise NotImplementedError
+
     # -- critical exponent ----------------------------------------------
 
     def lambda_star(self) -> float:
@@ -100,7 +111,12 @@ class IncrementModel:
         if self.prob_positive() == 0.0:
             raise NoPositiveRoot("P(Y > 0) = 0; m(lambda) < 1 for all lambda > 0")
         root = self._lambda_star_impl()
-        assert abs(self.mgf(root) - 1.0) <= _ROOT_TOL
+        residual = abs(self.mgf(root) - 1.0)
+        if not residual <= _ROOT_TOL:
+            raise NoConvergence(
+                f"lambda* = {root!r} leaves |m(lambda*) - 1| = {residual:g} "
+                f"above {_ROOT_TOL:g}"
+            )
         return root
 
     def _lambda_star_impl(self) -> float:
@@ -245,6 +261,13 @@ class _NormalBase(IncrementModel):
     def prob_positive(self) -> float:
         return float(norm_cdf(self.loc / self.scale))
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        # in place on ndtri's output; same bits as loc + scale * ndtri(u)
+        z = ndtri(u)
+        z *= self.scale
+        z += self.loc
+        return z
+
     def _lambda_star_impl(self) -> float:
         # m(lam) = 1  <=>  lam * loc + lam^2 scale^2 / 2 = 0.
         return -2.0 * self.loc / self.scale**2
@@ -383,6 +406,17 @@ class _DiscreteBase(IncrementModel):
 
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        # Atom index = #{j < k - 1 : cum[j] <= u}, which equals
+        # min(searchsorted(cum, u, "right"), k - 1) for any support order;
+        # leaving out cum[-1] covers cum[-1] < 1 from rounding.
+        support = np.asarray(self.support)
+        cum = np.cumsum(self.probs)[:-1]
+        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(cum)))
+        for c in cum:
+            idx += u >= c
+        return support[idx]
 
     def rate_domain(self) -> tuple[float, float]:
         # A0 = lim of the tilted mean as lambda -> inf = max(support).

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 _OUTPUTS_PER_BLOCK = 4
-_MIN_UNIFORM = 2.0**-64  # keep inverse-CDF sampling away from u = 0
+MIN_UNIFORM = 2.0**-64  # keep inverse-CDF sampling away from u = 0
 
 
 def blocks_per_rep(draws_per_rep: int) -> int:
@@ -25,13 +25,17 @@ def blocks_per_rep(draws_per_rep: int) -> int:
 def uniform_block(seed: int, first_rep: int, reps: int, draws_per_rep: int) -> np.ndarray:
     """Uniforms in (0, 1) of shape (reps, draws_per_rep) for a chunk of
     replications [first_rep, first_rep + reps), deterministic in
-    (seed, replication index) only."""
+    (seed, replication index) only.
+
+    The result is a view of the whole Philox buffer (clamped in place), so
+    its rows are not contiguous unless draws_per_rep is a multiple of 4.
+    """
     stride = blocks_per_rep(draws_per_rep)
     bitgen = Philox(key=seed)
     bitgen.advance(first_rep * stride)
     u = Generator(bitgen).random(reps * stride * _OUTPUTS_PER_BLOCK)
-    u = u.reshape(reps, stride * _OUTPUTS_PER_BLOCK)[:, :draws_per_rep]
-    return np.maximum(u, _MIN_UNIFORM)
+    np.maximum(u, MIN_UNIFORM, out=u)
+    return u.reshape(reps, stride * _OUTPUTS_PER_BLOCK)[:, :draws_per_rep]
 
 
 def substream(seed: int, rep: int, draws_per_rep: int) -> Generator:

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +155,24 @@ class TestDetectSubcommand:
         # cumulative llr 0.3 + 0.4 + 0.4 = 1.1 < 1.2: no alarm yet
         assert rep["w"] == pytest.approx(1.1)
         assert rep["new_alarms"] == []
+
+    def test_input_file_closed(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("value\n0.5\n1.5\n")
+        code = (
+            "import sys; from cusumkit import cli;"
+            "sys.exit(cli.main(['detect', '--theta0', '0', '--theta1', '1',"
+            f" '--input', {str(data)!r}, '--threshold-variant', 'custom',"
+            f" '--h', '1.0', '--output', {str(tmp_path / 'out.json')!r}]))"
+        )
+        # a leaked handle warns at garbage collection, where an error is
+        # only printed, so the check is on standard error
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
 
     def test_density_spec_pair(self, capsys, tmp_path):
         data = tmp_path / "d.csv"

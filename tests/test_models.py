@@ -1,12 +1,21 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from cusumkit import models
-from cusumkit.errors import NoPositiveRoot, NotAnLLRModel, OutOfDomain
+from cusumkit.errors import (
+    NoConvergence,
+    NoPositiveRoot,
+    NotAnLLRModel,
+    OutOfDomain,
+)
 
 from _oracles import (
     quad_one_minus_exp_pos,
@@ -86,6 +95,37 @@ class TestLambdaStar:
         m = models.DiscreteTable((-1.0, -2.0), (0.5, 0.5))
         with pytest.raises(NoPositiveRoot):
             m.lambda_star()
+
+    def test_bad_root_rejected(self):
+        class BadRoot(models.ShiftedNormal):
+            def _lambda_star_impl(self):
+                return 0.5
+
+        with pytest.raises(NoConvergence):
+            BadRoot(-0.3, 1.7).lambda_star()
+
+    def test_bad_root_rejected_under_optimize(self):
+        # the postcondition must survive python -O, which strips asserts
+        code = textwrap.dedent("""
+            import sys
+            from cusumkit import models
+            from cusumkit.errors import NoConvergence
+
+            class BadRoot(models.ShiftedNormal):
+                def _lambda_star_impl(self):
+                    return 0.5
+
+            try:
+                BadRoot(-0.3, 1.7).lambda_star()
+            except NoConvergence:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRateFunction:
@@ -228,3 +268,77 @@ class TestMgfProperties:
         lam, eps = 0.7, 1e-6
         fd = (m.mgf(lam + eps) - m.mgf(lam - eps)) / (2 * eps)
         assert m.mgf_prime(lam) == pytest.approx(fd, rel=1e-8)
+
+
+def _searchsorted_quantile(model, u):
+    """The inverse CDF the Monte Carlo pipeline used before quantile()."""
+    support = np.asarray(model.support)
+    cum = np.cumsum(model.probs)
+    idx = np.searchsorted(cum, u, side="right")
+    return support[np.minimum(idx, len(support) - 1)]
+
+
+@st.composite
+def _tables(draw):
+    # narrow supports, and wide ones on both sides of the uint8 index limit
+    k = draw(st.one_of(st.integers(1, 7), st.integers(254, 258)))
+    # only the order of the support matters to the inverse CDF
+    values = [float(v) - 0.5 * k for v in draw(st.permutations(range(k)))]
+    raw = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)
+               .filter(lambda w: sum(w) > 0))
+    weights = [w / sum(raw) for w in raw]
+    # shrink the total by a few ulps-worth so cum[-1] can fall below 1
+    shrink = draw(st.sampled_from([1.0, 1.0 - 2e-16, 1.0 - 5e-13]))
+    return models.DiscreteTable(tuple(values), tuple(w * shrink for w in weights))
+
+
+def _uniforms(draw, cum):
+    """Open-interval uniforms plus every cumulative probability exactly
+    and its neighbours on both sides."""
+    free = draw(st.lists(st.floats(2.0**-64, 1.0, exclude_max=True),
+                         min_size=1, max_size=40))
+    edges = [x for c in cum for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    u = np.array(free + [x for x in edges if 2.0**-64 <= x < 1.0])
+    return np.maximum(u, 2.0**-64)
+
+
+class TestQuantile:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_matches_searchsorted(self, data):
+        model = data.draw(st.one_of(
+            _tables(), st.floats(0.01, 0.99).map(models.BernoulliPM)))
+        u = _uniforms(data.draw, np.cumsum(model.probs))
+        want = _searchsorted_quantile(model, u)
+        for shape in (u.shape, (1, u.size)):
+            got = model.quantile(u.reshape(shape))
+            assert got.dtype == want.dtype and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(
+        model=st.one_of(
+            st.floats(0.05, 5.0).map(models.NormalLLR),
+            st.builds(models.ShiftedNormal, st.floats(-5.0, 5.0),
+                      st.floats(0.05, 5.0)),
+        ),
+        u=st.lists(st.floats(2.0**-64, 1.0, exclude_max=True), min_size=1,
+                   max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normal_matches_closed_form(self, model, u):
+        u = np.array(u)
+        want = model.loc + model.scale * ndtri(u)
+        assert model.quantile(u).tobytes() == want.tobytes()
+
+    def test_strided_block(self):
+        # uniform_block hands over a non-contiguous view of the Philox buffer
+        u = np.random.default_rng(1).random((6, 8))[:, :7]
+        for model in (models.NormalLLR(1.0), models.BernoulliPM(0.3),
+                      models.DiscreteTable((1.0, -0.5, -2.0), (0.25, 0.5, 0.25))):
+            got = model.quantile(u)
+            assert got.flags.c_contiguous and got.shape == u.shape
+            if isinstance(model, models.NormalLLR):
+                want = model.loc + model.scale * ndtri(u)
+            else:
+                want = _searchsorted_quantile(model, u)
+            assert got.tobytes() == want.tobytes()

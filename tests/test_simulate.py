@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,10 @@ from cusumkit.errors import (
 )
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
+# unsorted support with a zero-probability atom
+TABLE5 = models.DiscreteTable(
+    (2.0, -1.0, 0.5, -3.0, 1.0), (0.1, 0.4, 0.0, 0.2, 0.3)
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +98,37 @@ class TestQuantiles:
         assert h == 95.0  # ceil(100*0.95) = 95th order statistic
         assert stderr > 0.0
 
+    @staticmethod
+    def _sorted_reference(samples, alpha):
+        reps = samples.shape[0]
+        srt = np.sort(samples)
+        rank = int(np.ceil(reps * (1.0 - alpha)))
+        spread = np.sqrt(reps * alpha * (1.0 - alpha))
+        lo = max(int(np.floor(rank - spread)), 1)
+        hi = min(int(np.ceil(rank + spread)), reps)
+        return float(srt[rank - 1]), float((srt[hi - 1] - srt[lo - 1]) / 2.0), lo, hi
+
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize(
+        "reps,alpha",
+        [(1000, 0.05), (1000, 0.5), (7, 0.5), (12, 0.3), (5, 0.9), (3, 0.01)],
+    )
+    def test_partition_matches_full_sort(self, reps, alpha, ties):
+        gen = np.random.default_rng(reps)
+        samples = gen.exponential(size=reps) - 0.5
+        if ties:
+            # zero-inflated and rounded, like the maxima of a negative-drift walk
+            samples = np.round(samples, 1).clip(0.0)
+        h, se, lo, hi = self._sorted_reference(samples, alpha)
+        assert simulate._upper_quantile(samples.copy(), alpha) == (h, se)
+
+    def test_bracket_reaches_both_ends(self):
+        # small reps put lo at the first and hi at the last order statistic
+        samples = np.array([3.0, 1.0, 2.0, 2.0, 0.0])
+        h, se, lo, hi = self._sorted_reference(samples, 0.5)
+        assert (lo, hi) == (1, 5)
+        assert simulate._upper_quantile(samples, 0.5) == (h, se) == (2.0, 1.5)
+
     def test_insufficient_reps_guard(self, nllr):
         with pytest.raises(InsufficientReps):
             simulate.mc_quantile_max(nllr, 10, 0.05, reps=100, seed=0)
@@ -163,3 +199,52 @@ class TestStoppingStats:
             simulate.stopping_stats(
                 m, h=50.0, k_zeros=1, reps=5, seed=1, max_steps=50, block=16
             )
+
+
+class TestGolden:
+    """Seeds reproduce bit for bit across releases.
+
+    Digests were recorded before the Monte Carlo pipeline was rebuilt
+    around IncrementModel.quantile, with numpy 2.4.6 and scipy 1.17.1
+    (Philox, Generator.random and ndtri fix the bits); a mismatch under
+    those releases is a bug, not a re-pin.  Each case spans several
+    chunks of _TARGET_CHUNK_ELEMENTS.
+    """
+
+    @pytest.mark.parametrize(
+        "model,n,reps,seed,digest",
+        [
+            (models.NormalLLR(1.0), 37, 60_000, 101,
+             "eb2624e136fe69b90393303c9ac9c9da9c60cd35a666e9c5ab6a5d16bb7781ff"),
+            (models.NormalLLR(1.0), 1000, 2_500, 102,
+             "91209e958bd741c6acb4b76a0a1ee5275b67f3ada6044376dfcff3db061cf320"),
+            (models.BernoulliPM(0.3), 200, 12_000, 103,
+             "abd4de2d59789656e2df91b641e71d37942d1b010570603ed5f50ac28ea5b79f"),
+            (TABLE5, 50, 45_000, 104,
+             "7883ec61f3a2359d76a8d2919fd21f307c65c1548b48a99019de463904da6637"),
+        ],
+        ids=["normal-n37", "normal-n1000", "bernoulli-n200", "table5-n50"],
+    )
+    def test_simulate_cusum_digest(self, model, n, reps, seed, digest):
+        assert reps > simulate._TARGET_CHUNK_ELEMENTS // n
+        res = simulate.simulate_cusum(simulate.SimConfig(model, n, reps, seed))
+        got = hashlib.sha256(res.w_final.tobytes() + res.w_max.tobytes())
+        assert got.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "model,h,want",
+        [
+            (models.ShiftedNormal(-0.5, 1.0), 2.0,
+             ("0x1.0369d0369d037p-3", "0x1.3a9da3be603c6p-6",
+              "0x1.04b17e4b17e4bp+1", "0x1.13f4d7ea585bbp-3")),
+            (TABLE5, 4.0,
+             ("0x1.7e4b17e4b17e5p-3", "0x1.709370eb4d28bp-6",
+              "0x1.4eeeeeeeeeeefp+1", "0x1.0c5d8601a2330p-2")),
+        ],
+        ids=["normal", "table5"],
+    )
+    def test_stopping_stats(self, model, h, want):
+        s = simulate.stopping_stats(model, h=h, k_zeros=3, reps=300, seed=7)
+        got = (s.p_hat, s.p_stderr, s.mean_tau1, s.tau1_stderr)
+        assert tuple(x.hex() for x in got) == want
+        assert s.horizon_exceeded == 0
