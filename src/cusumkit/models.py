@@ -15,7 +15,7 @@ log-likelihood-ratio increment for a standardized mean shift of size delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     NoPositiveRoot,
     NotAnLLRModel,
     OutOfDomain,
+    TooLarge,
 )
 from .special import norm_cdf, norm_pdf
 
@@ -43,8 +44,17 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 _ROOT_TOL = 1e-12
-_GRID = 1e-12  # lattice pitch for float-valued convolution keys
-_PRUNE = 1e-300
+_GRID = 1e-12  # finite supports are keyed by the integers round(y / _GRID)
+_PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
+# widest lattice (in steps of the key gcd, 0 included) whose sum laws are
+# dense arrays; wider ones are merged key by key.  No benchmark workload
+# has a lattice near this width, so the value is not tuned.
+_DENSE_MAX_WIDTH = 4096
+_MAX_KEY = 2**63  # int64 keys, and every partial sum of them, stay below this
+_MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
+# up to exp(600), masses too small for float64 (or pruned below 1e-300)
+# weigh less than 1e-39 each in E exp(lam * S_k+)
+_SAFE_EXPO = 600.0
 
 
 class IncrementModel:
@@ -69,6 +79,10 @@ class IncrementModel:
 
     def mgf_prime(self, lam: float) -> float:
         """E[Y exp(lambda*Y)]."""
+        raise NotImplementedError
+
+    def _mgf_second(self, lam: float) -> float:
+        """E[Y^2 exp(lambda*Y)]."""
         raise NotImplementedError
 
     @property
@@ -140,6 +154,13 @@ class IncrementModel:
         """Open interval (EY, A0) on which the rate function is defined."""
         raise NotImplementedError
 
+    def tilt_var(self, lam: float) -> float:
+        """Variance of Y under the exponential tilt by lam, which is the
+        derivative of the tilted mean m'(lam)/m(lam)."""
+        m = self.mgf(lam)
+        m1 = self.mgf_prime(lam)
+        return self._mgf_second(lam) / m - (m1 / m) ** 2
+
     def rate_function(self, x: float) -> tuple[float, float]:
         """Cramer rate function I(x) and its maximizer lambda(x).
 
@@ -160,11 +181,7 @@ class IncrementModel:
         while tilt_mean(b) < x:
             a, b = b, 2.0 * b
         lam = brentq(lambda t: tilt_mean(t) - x, a, b, xtol=1e-15, rtol=1e-15)
-        lam = _polish_root(
-            lambda t: tilt_mean(t) - x,
-            lambda t: _tilt_var(self, t),
-            lam,
-        )
+        lam = _polish_root(lambda t: tilt_mean(t) - x, self.tilt_var, lam)
         rate = lam * x - math.log(self.mgf(lam))
         return max(rate, 0.0), lam
 
@@ -225,16 +242,6 @@ def _polish_root(f, fprime, root: float) -> float:
     return root
 
 
-def _tilt_var(model: IncrementModel, lam: float) -> float:
-    # d/dlam of the tilted mean = tilted variance.
-    m = model.mgf(lam)
-    m1 = model.mgf_prime(lam)
-    if isinstance(model, _NormalBase):
-        return model.scale**2
-    m2 = model._mgf_second(lam)
-    return m2 / m - (m1 / m) ** 2
-
-
 # ---------------------------------------------------------------------------
 # normal kinds
 # ---------------------------------------------------------------------------
@@ -260,6 +267,9 @@ class _NormalBase(IncrementModel):
 
     def prob_positive(self) -> float:
         return float(norm_cdf(self.loc / self.scale))
+
+    def tilt_var(self, lam: float) -> float:
+        return self.scale**2
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         # in place on ndtri's output; same bits as loc + scale * ndtri(u)
@@ -289,7 +299,7 @@ class _NormalBase(IncrementModel):
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         mu, sd = self._sum_params(n)
         expo = lam * mu + 0.5 * (lam * sd) ** 2
-        if np.any(expo > 700.0):
+        if np.any(expo > _MAX_EXPO):
             raise DivergentMoment(
                 f"exp moment overflows at lam = {lam:g}, n = {n}"
             )
@@ -375,6 +385,108 @@ class ShiftedNormal(_NormalBase):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The atoms with p > 0 of a finite support, keyed by k = round(y / _GRID).
+
+    The keys are lo + g*i for i = 0..span, and d divides every key; keys
+    and their sums are exact for integer and half-integer supports.
+    """
+
+    keys: np.ndarray  # int64, in support order
+    probs: np.ndarray
+    lo: int
+    hi: int
+    g: int  # gcd of the differences keys - lo
+    d: int  # gcd of the keys themselves
+
+    @property
+    def span(self) -> int:
+        """Steps of g from the lowest key to the highest."""
+        return (self.hi - self.lo) // self.g
+
+    @property
+    def width(self) -> int:
+        """Steps of d from min(lo, 0) to max(hi, 0): the grid that holds
+        one increment together with 0."""
+        return (max(self.hi, 0) - min(self.lo, 0)) // self.d
+
+    def check_horizon(self, n: int) -> None:
+        """Raise TooLarge when n-step key sums could leave int64."""
+        if n * max(self.hi, -self.lo) >= _MAX_KEY:
+            raise TooLarge(
+                f"n = {n} steps of support values up to "
+                f"{max(self.hi, -self.lo) * _GRID:g} overflow the 1e-12 key grid"
+            )
+
+    def tilted(self, lam: float) -> tuple[Lattice, float]:
+        """The step law tilted by lam, p e^(lam y) / m(lam), and log m(lam),
+        with y = key * _GRID as in the sum laws."""
+        logw = np.log(self.probs) + lam * (self.keys * _GRID)
+        top = logw.max()
+        w = np.exp(logw - top)
+        total = w.sum()
+        return replace(self, probs=w / total), float(top + math.log(total))
+
+
+def _merge_atoms(keys: tuple[np.ndarray, ...], mass: np.ndarray):
+    """Drop masses below _PRUNE, then sum the masses of equal key tuples.
+
+    Returns the distinct key tuples in np.lexsort order (the last array is
+    the primary key) and their total masses.
+    """
+    keep = mass >= _PRUNE
+    if not keep.all():
+        keys = tuple(k[keep] for k in keys)
+        mass = mass[keep]
+    order = np.lexsort(keys)
+    keys = tuple(k[order] for k in keys)
+    same = np.ones(mass.size, dtype=bool)  # key tuple equals the previous one
+    same[0] = False
+    for k in keys:
+        same[1:] &= k[1:] == k[:-1]
+    starts = np.flatnonzero(~same)
+    return tuple(k[starts] for k in keys), np.add.reduceat(mass[order], starts)
+
+
+def _sum_laws(lat: Lattice, n: int):
+    """Laws of S_1..S_n on lat: dense when the lattice is at most
+    _DENSE_MAX_WIDTH steps wide, else sparse."""
+    lat.check_horizon(n)
+    if lat.width <= _DENSE_MAX_WIDTH:
+        return _dense_sum_laws(lat, n)
+    return _sparse_sum_laws(lat, n)
+
+
+def _dense_sum_laws(lat: Lattice, n: int):
+    # S_k is a pmf over k*lo + g*i, i = 0..span*k, one convolution per step
+    step = np.bincount((lat.keys - lat.lo) // lat.g, weights=lat.probs,
+                       minlength=lat.span + 1)
+    # the values of every S_k are strided views of one grid of multiples
+    # of d, so no step computes values; the grid counts in units of d, so
+    # no entry exceeds a partial sum and its length is exact in float64
+    base = n * min(lat.lo, 0)
+    grid = lat.d * np.arange(base // lat.d, base // lat.d + n * lat.width + 1,
+                             dtype=np.int64) * _GRID
+    grid.setflags(write=False)
+    stride = lat.g // lat.d
+    probs = np.ones(1)
+    for k in range(1, n + 1):
+        probs = np.convolve(probs, step)
+        start = (k * lat.lo - base) // lat.d
+        yield grid[start : start + stride * lat.span * k + 1 : stride], probs
+
+
+def _sparse_sum_laws(lat: Lattice, n: int):
+    keys = np.zeros(1, dtype=np.int64)
+    probs = np.ones(1)
+    for _ in range(n):
+        (keys,), probs = _merge_atoms(
+            ((keys[:, None] + lat.keys).ravel(),), np.outer(probs, lat.probs).ravel()
+        )
+        yield keys * _GRID, probs
+
+
 class _DiscreteBase(IncrementModel):
     """Shared exact-sum machinery for finite-support kinds."""
 
@@ -422,14 +534,57 @@ class _DiscreteBase(IncrementModel):
         # A0 = lim of the tilted mean as lambda -> inf = max(support).
         return self.mean(), max(self.support)
 
+    def lattice(self) -> Lattice:
+        """The integer-key lattice of the atoms with positive probability."""
+        probs = np.asarray(self.probs, dtype=float)
+        pos = probs > 0.0
+        with np.errstate(over="ignore"):  # inf keys are refused below
+            scaled = np.rint(np.asarray(self.support, dtype=float)[pos] / _GRID)
+        if np.abs(scaled).max() >= _MAX_KEY:
+            raise TooLarge(
+                f"support values up to {np.abs(scaled).max() * _GRID:g} "
+                "overflow the 1e-12 key grid"
+            )
+        keys = scaled.astype(np.int64)
+        lo, hi = int(keys.min()), int(keys.max())
+        d = int(np.gcd.reduce(keys)) or 1
+        g = int(np.gcd.reduce(keys - lo)) or d
+        return Lattice(keys=keys, probs=probs[pos], lo=lo, hi=hi, g=g, d=d)
+
     def sum_distributions(self, n: int):
-        """Exact laws of S_1..S_n as (values, probs) array pairs."""
-        raise NotImplementedError
+        """Exact laws of S_1..S_n as (values, probs) array pairs.
+
+        Values ascend and are keys * _GRID.  Lattices at most
+        _DENSE_MAX_WIDTH steps wide give dense pmfs that may hold zero
+        masses, read-only values and no pruning; wider ones give only the
+        atoms with mass >= 1e-300.
+        """
+        yield from _sum_laws(self.lattice(), n)
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
+        lat = self.lattice()
         out = np.empty(n)
-        for k, (vals, probs) in enumerate(self.sum_distributions(n)):
-            out[k] = np.dot(np.exp(lam * np.maximum(vals, 0.0)), probs)
+        if lam * max(lat.hi, 0) * _GRID * n <= _SAFE_EXPO:
+            for k, (vals, probs) in enumerate(self.sum_distributions(n)):
+                out[k] = np.dot(np.exp(lam * np.maximum(vals, 0.0)), probs)
+            return out
+        # Larger lam * S_k: x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0), where
+        # Q is the law of S_k under steps tilted by lam.  exp(lam * S_k) is
+        # never formed: where it overflows, the masses it would weigh
+        # underflow, while Q keeps those atoms at the size they contribute.
+        tilted, log_m = lat.tilted(lam)
+        laws = zip(self.sum_distributions(n), _sum_laws(tilted, n))
+        for k, ((vals, probs), (tvals, tprobs)) in enumerate(laws, start=1):
+            x = float(probs[: vals.searchsorted(0.0, "right")].sum())
+            above = tprobs[tvals.searchsorted(0.0, "right") :].sum()
+            if above > 0.0:
+                expo = k * log_m + math.log(above)
+                if expo > _MAX_EXPO:
+                    raise DivergentMoment(
+                        f"E exp(lam * S_{k}+) overflows at lam = {lam:g}"
+                    )
+                x += math.exp(expo)
+            out[k - 1] = x
         return out
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,14 +635,6 @@ class BernoulliPM(_DiscreteBase):
             )
         return self.one_minus_exp_pos_mean(1.0)
 
-    def sum_distributions(self, n: int):
-        # S_k lives on the integer lattice {-k, -k+2, ..., k}.
-        probs = np.array([1.0])
-        step = np.array([1.0 - self.p, self.p])
-        for k in range(1, n + 1):
-            probs = np.convolve(probs, step)
-            yield np.arange(-k, k + 1, 2, dtype=float), probs
-
     def spec(self) -> str:
         return f"bernoulli-pm:p={self.p:.17g}"
 
@@ -528,24 +675,6 @@ class DiscreteTable(_DiscreteBase):
         if not self.llr:
             raise NotAnLLRModel("table not flagged as log-likelihood ratios")
         return self.one_minus_exp_pos_mean(1.0)
-
-    def sum_distributions(self, n: int):
-        # Value-indexed accumulation on a 1e-12 grid; keys are exact for
-        # integer-valued supports.  Only probabilities below 1e-300 are
-        # pruned, so the result is exact up to float rounding.
-        dist: dict[int, float] = {0: 1.0}
-        for _ in range(n):
-            nxt: dict[int, float] = {}
-            for key, q in dist.items():
-                for y, p in zip(self.values, self.weights):
-                    w = q * p
-                    if w < _PRUNE:
-                        continue
-                    nk = round((key * _GRID + y) / _GRID)
-                    nxt[nk] = nxt.get(nk, 0.0) + w
-            dist = nxt
-            keys = np.array(sorted(dist), dtype=np.int64)
-            yield keys * _GRID, np.array([dist[k] for k in keys])
 
     def spec(self) -> str:
         y = ";".join(f"{v:.17g}" for v in self.values)

@@ -110,12 +110,11 @@ def cusum_variance(model: IncrementModel, n: int) -> tuple[np.ndarray, float]:
     inside = np.concatenate(([0.0], np.cumsum(conv)[: n - 1]))  # pairs with sum <= n
     out[1:] = second - (csum**2 - inside)
 
-    # published recursive increment, kept as a diagnostic only
-    rec = np.zeros(n + 1)
+    # published recursive increment, kept as a diagnostic only:
+    # rec_i = rec_{i-1} + Var(S_i+)/i + sum_{k<=i} m_k m_{i+1-k}, whose
+    # cross term is conv[i-1]
     var_plus = m2 - m1**2
-    for i in range(1, n + 1):
-        cross = np.dot(m[:i], m[:i][::-1])  # sum_k m_k m_{i+1-k}
-        rec[i] = rec[i - 1] + var_plus[i - 1] / i + cross
+    rec = np.concatenate(([0.0], np.cumsum(var_plus / k + conv[:n])))
     gap = float(np.max(np.abs(rec - out)))
     if gap > _MISMATCH_TOL:
         warnings.warn(

@@ -3,7 +3,8 @@
 Monte Carlo uses counter-based Philox substreams (one fixed-size slice per
 replication), so results are bit-identical for a given seed regardless of
 chunking or worker count.  Exact enumeration runs a dynamic program over
-the joint states (W_n, max W) for finite-support increments and is the
+the joint states (W_n, max W) for finite-support increments, held as int64
+arrays of keys on the support's 1e-12 grid (models.Lattice), and is the
 trusted oracle for the analytic moment engine.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import rng
 from ._kernels import lindley_block
 from .errors import HorizonExceeded, InsufficientReps, StateBudgetExceeded
-from .models import IncrementModel, _DiscreteBase
+from .models import _GRID, IncrementModel, _DiscreteBase, _merge_atoms
 
 __all__ = [
     "SimConfig",
@@ -32,7 +33,6 @@ __all__ = [
     "StoppingStats",
 ]
 
-_GRID = 1e-12
 # 8 MB of float64 per chunk: each pipeline stage's output stays in cache
 # and TLB reach for the next stage to read
 _TARGET_CHUNK_ELEMENTS = 1_000_000
@@ -183,8 +183,9 @@ def mc_tail_max(
 class ExactDistribution:
     """Exact joint law of (W_n, max over [0, n] of W_t).
 
-    Atoms map grid keys (value / 1e-12, rounded) to probabilities; keys
-    are exact for integer supports.
+    Atoms map pairs of grid keys (kw, km), the values divided by 1e-12, to
+    probabilities.  Keys are sums of the support's keys round(y / 1e-12),
+    so they are exact for integer and half-integer supports.
     """
 
     n: int
@@ -228,34 +229,28 @@ def exact_enumerate(
 ) -> ExactDistribution:
     """Dynamic program over joint states (W, max W) for finite supports.
 
-    One step maps (w, m) to (max(w + y, 0), max(m, w')) for every support
-    atom y.  Exact up to float rounding; probabilities below 1e-300 only
-    are pruned.
+    One step maps (w, m) to (w', max(m, w')) with w' = max(w + y, 0) for
+    every support atom y, on int64 grid keys, then merges equal states.
+    Exact up to float rounding; probabilities below 1e-300 only are pruned.
     """
     if not isinstance(model, _DiscreteBase):
         raise TypeError("exact enumeration requires a finite-support model")
-    support = model.support
-    probs = model.probs
-    states: dict[tuple[int, int], float] = {(0, 0): 1.0}
+    lat = model.lattice()
+    lat.check_horizon(n)
+    kw = km = np.zeros(1, dtype=np.int64)
+    q = np.ones(1)
     for _ in range(n):
-        nxt: dict[tuple[int, int], float] = {}
-        for (kw, km), q in states.items():
-            w = kw * _GRID
-            for y, p in zip(support, probs):
-                mass = q * p
-                if mass < 1e-300:
-                    continue
-                w2 = max(w + y, 0.0)
-                kw2 = round(w2 / _GRID)
-                km2 = max(km, kw2)
-                key = (kw2, km2)
-                nxt[key] = nxt.get(key, 0.0) + mass
-        states = nxt
-        if len(states) > state_budget:
+        w = np.maximum(kw[:, None] + lat.keys, 0)
+        (kw, km), q = _merge_atoms(
+            (w.ravel(), np.maximum(km[:, None], w).ravel()),
+            np.outer(q, lat.probs).ravel(),
+        )
+        if q.size > state_budget:
             raise StateBudgetExceeded(
-                f"{len(states)} states exceed the budget of {state_budget}"
+                f"{q.size} states exceed the budget of {state_budget}"
             )
-    return ExactDistribution(n=n, atoms=states)
+    atoms = dict(zip(zip(kw.tolist(), km.tolist()), q.tolist()))
+    return ExactDistribution(n=n, atoms=atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from cusumkit.errors import (
     NoPositiveRoot,
     NotAnLLRModel,
     OutOfDomain,
+    TooLarge,
 )
 
 from _oracles import (
+    enumerate_paths,
     quad_one_minus_exp_pos,
     quad_rectified_exp,
     quad_rectified_moments,
@@ -190,10 +192,125 @@ class TestDiscreteSums:
         for key in acc:
             assert got[key] == pytest.approx(acc[key], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model,dense",
+        [
+            # unsorted, with a zero atom; a few lattice steps wide
+            (models.DiscreteTable((2.0, -1.0, 0.5, -3.0, 1.0),
+                                  (0.1, 0.4, 0.0, 0.2, 0.3)), True),
+            # three atoms on an integer lattice, hundreds of steps wide
+            (models.DiscreteTable((-3.0, 1.0, 347.0), (0.5, 0.3, 0.2)), True),
+            # the same, wider than dense arrays are used for
+            (models.DiscreteTable((-3.0, 1.0, 5000.0), (0.5, 0.3, 0.2)), False),
+            # log-ratio values: no coarse lattice holds them
+            (models.DiscreteTable((math.log(0.5), math.log(1.5), math.sqrt(2)),
+                                  (0.5, 0.3, 0.2)), False),
+        ],
+        ids=["table5", "wide-integer", "wider-integer", "irrational"],
+    )
+    def test_sum_laws_match_path_enumeration(self, model, dense):
+        assert (model.lattice().width <= models._DENSE_MAX_WIDTH) == dense
+        n = 6
+        for k, (vals, probs) in enumerate(model.sum_distributions(n), start=1):
+            assert np.all(np.diff(vals) > 0.0)
+            want = {}
+            for ys, p in enumerate_paths(model.support, model.probs, k):
+                key = round(math.fsum(ys), 9) + 0.0
+                want[key] = want.get(key, 0.0) + p
+            got = {round(v, 9) + 0.0: p for v, p in zip(vals, probs) if p > 0.0}
+            assert set(got) == {key for key, p in want.items() if p > 0.0}
+            for key, p in got.items():
+                assert p == pytest.approx(want[key], rel=1e-12)
+
     def test_nonlattice_support_stays_exact(self):
         m = models.DiscreteTable((0.1, -0.3), (0.4, 0.6))
         vals, probs = list(m.sum_distributions(40))[-1]
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_lattice_descriptor(self):
+        lat = models.BernoulliPM(0.3).lattice()
+        assert (lat.lo, lat.hi, lat.g, lat.d) == (-10**12, 10**12, 2 * 10**12, 10**12)
+        assert (lat.span, lat.width) == (1, 2)
+        # the zero-probability atom 0.5 does not refine the lattice
+        lat = models.DiscreteTable(
+            (2.0, -1.0, 0.5, -3.0, 1.0), (0.1, 0.4, 0.0, 0.2, 0.3)
+        ).lattice()
+        assert lat.keys.tolist() == [2 * 10**12, -(10**12), -3 * 10**12, 10**12]
+        assert (lat.span, lat.width) == (5, 5)
+        lat = models.DiscreteTable((3.0,), (1.0,)).lattice()
+        assert (lat.span, lat.width) == (0, 1)
+
+    def test_bernoulli_values_are_exact_integers(self):
+        for k, (vals, _) in enumerate(models.BernoulliPM(0.3).sum_distributions(50), 1):
+            assert vals.tolist() == list(range(-k, k + 1, 2))
+            assert not vals.flags.writeable
+
+    def test_single_atom(self):
+        m = models.DiscreteTable((-0.5,), (1.0,))
+        laws = list(m.sum_distributions(4))
+        assert [v.tolist() for v, _ in laws] == [[-0.5], [-1.0], [-1.5], [-2.0]]
+        assert all(p.tolist() == [1.0] for _, p in laws)
+
+    def test_keys_beyond_int64_refused(self):
+        m = models.DiscreteTable((-5e6, 1e6), (0.5, 0.5))
+        with pytest.raises(TooLarge):
+            next(m.sum_distributions(1000))
+
+    @pytest.mark.parametrize("value", [1e7, -9.3e6, 1e300])
+    def test_support_beyond_int64_refused(self, value):
+        m = models.DiscreteTable((value, -1.0), (0.5, 0.5))
+        with pytest.raises(TooLarge):
+            m.lattice()
+
+    def test_large_keys_up_to_int64(self):
+        # 150 * 4e16 < 2**63 although 150 * (hi - lo) = 150 * 8e16 is not
+        m = models.DiscreteTable((4e4, -4e4), (0.4, 0.6))
+        for k, (vals, probs) in enumerate(m.sum_distributions(150), start=1):
+            assert vals.tolist() == [4e4 * j for j in range(-k, k + 1, 2)]
+        np.testing.assert_array_equal(
+            probs, list(models.BernoulliPM(0.4).sum_distributions(150))[-1][1]
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_and_sparse_laws_agree(self, data):
+        # integer or half-integer supports, so both paths key them exactly
+        half = data.draw(st.booleans())
+        raw = data.draw(st.lists(st.integers(-12, 12), min_size=1, max_size=6,
+                                 unique=True))
+        values = tuple(v / 2.0 if half else float(v) for v in raw)
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=len(raw),
+                                     max_size=len(raw)).filter(lambda w: sum(w) > 0))
+        model = models.DiscreteTable(values, tuple(w / sum(weights) for w in weights))
+        lat = model.lattice()
+        n = data.draw(st.integers(1, 25))
+        dense = list(models._dense_sum_laws(lat, n))
+        sparse = list(models._sparse_sum_laws(lat, n))
+        for (dv, dp), (sv, sp) in zip(dense, sparse):
+            keep = dp >= 1e-300
+            # the dense pmf only adds lattice points of mass 0 (or < 1e-300)
+            assert np.all(dp[~np.isin(dv, sv)] < 1e-300)
+            np.testing.assert_array_equal(dv[np.isin(dv, sv) | keep], sv)
+            np.testing.assert_allclose(dp[np.isin(dv, sv)], sp, rtol=1e-12)
+
+
+class TestTiltVariance:
+    def test_normal_is_scale_squared(self):
+        m = models.ShiftedNormal(-0.5, 1.7)
+        assert m.tilt_var(0.3) == 1.7**2
+
+    @pytest.mark.parametrize("lam", [-0.4, 0.0, 0.8])
+    def test_discrete_is_derivative_of_tilted_mean(self, lam):
+        m = models.DiscreteTable((1.5, -1.0, -0.25), (0.2, 0.5, 0.3))
+        eps = 1e-6
+
+        def tilt_mean(t):
+            return m.mgf_prime(t) / m.mgf(t)
+
+        fd = (tilt_mean(lam + eps) - tilt_mean(lam - eps)) / (2 * eps)
+        assert m.tilt_var(lam) == pytest.approx(fd, rel=1e-7)
+        if lam == 0.0:
+            assert m.tilt_var(lam) == pytest.approx(m.var(), rel=1e-13)
 
 
 class TestValidationAndGrammar:

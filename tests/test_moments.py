@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cusumkit import models, moments
-from cusumkit.errors import FormulaMismatch, TooLarge
+from cusumkit import bounds, models, moments
+from cusumkit.errors import DivergentMoment, FormulaMismatch, TooLarge
 from cusumkit.special import norm_cdf
 
 from _oracles import path_mean_var_mgf
@@ -87,6 +87,62 @@ class TestCrossMethodIdentity:
         assert moments.cusum_mean(nllr, 0).tolist() == [0.0]
 
 
+class TestLatticeOverflow:
+    """exp(lambda* S_k+) leaves the float range on the upper tail of S_k
+    while x_k = E exp(lambda* S_k+) stays at most 2."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_critical_moments_finite_beyond_exp_range(self):
+        model = models.BernoulliPM(0.27)
+        lam = models.cached_lambda_star(model)
+        n = 2000
+        xs = model.rectified_exp_seq(lam, n)
+        assert lam * n > 709.8  # exp(lam * n) is not a float
+        assert np.all(np.isfinite(xs))
+        assert np.all((xs >= 1.0) & (xs <= 2.0 + 1e-12))
+        rec = moments.cusum_mgf_recursive(model, lam, n).values
+        mat = moments.cusum_mgf_matrix(model, lam, n).values
+        assert np.all(np.isfinite(rec))
+        np.testing.assert_allclose(rec, mat, rtol=1e-9)
+        upper = [bounds.exp_moment_upper(model, k) for k in range(n + 1)]
+        assert np.all(rec >= 1.0) and np.all(rec <= np.array(upper) + 1e-9)
+        assert upper[-1] <= n + 1.0
+
+    def test_critical_moments_match_binomial_closed_form(self):
+        # S_k = 2 Bin(k, p) - k, and under the tilt by lambda* the step is
+        # +1 with probability p e^lambda* = 1 - p, so
+        # x_k = P(Bin(k, p) <= k/2) + P(Bin(k, 1 - p) > k/2)
+        from scipy.stats import binom
+
+        p, n = 0.27, 2000
+        model = models.BernoulliPM(p)
+        xs = model.rectified_exp_seq(models.cached_lambda_star(model), n)
+        k = np.arange(1, n + 1)
+        want = binom.cdf(k // 2, k, p) + binom.sf(k // 2, k, 1.0 - p)
+        np.testing.assert_allclose(xs, want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            models.BernoulliPM(0.3),
+            models.DiscreteTable((2.0, -1.0, 0.5, -3.0, 1.0), (0.1, 0.4, 0.0, 0.2, 0.3)),
+            models.DiscreteTable((math.log(0.5), math.log(1.5)), (0.5, 0.5)),
+        ],
+        ids=["bernoulli", "table5", "irrational"],
+    )
+    @pytest.mark.parametrize("lam", [-0.5, 0.3, 1.5])
+    def test_tilted_form_matches_direct_sum(self, model, lam, monkeypatch):
+        direct = model.rectified_exp_seq(lam, 80)
+        monkeypatch.setattr(models, "_SAFE_EXPO", -math.inf)
+        np.testing.assert_allclose(model.rectified_exp_seq(lam, 80), direct, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_moment_raises(self):
+        # x_k itself exceeds the float range well before k = 2000
+        with pytest.raises(DivergentMoment):
+            models.BernoulliPM(0.27).rectified_exp_seq(3.0, 2000)
+
+
 class TestVarianceRecursionDiagnostic:
     def test_mismatch_warning_and_direct_values(self, nllr):
         with pytest.warns(FormulaMismatch):
@@ -98,6 +154,28 @@ class TestVarianceRecursionDiagnostic:
             one, gap1 = moments.cusum_variance(nllr, 1)
         assert one[1] == pytest.approx(m2[0] - m1[0] ** 2, rel=1e-13)
         assert gap1 == pytest.approx(m1[0] ** 2, rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::cusumkit.errors.FormulaMismatch")
+    @pytest.mark.parametrize(
+        "model",
+        [
+            models.NormalLLR(1.0),
+            models.BernoulliPM(BERN_LLR_P),
+            models.DiscreteTable((1.0, -0.5, -2.0), (0.25, 0.5, 0.25)),
+        ],
+        ids=["normal", "bernoulli", "table3"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_gap_matches_loop_form(self, model, n):
+        vars_, gap = moments.cusum_variance(model, n)
+        # the published recursion, written as the n-step loop it is stated as
+        m1, m2 = model.rectified_moment_seq(n)
+        m = m1 / np.arange(1, n + 1)
+        rec = np.zeros(n + 1)
+        for i in range(1, n + 1):
+            cross = np.dot(m[:i], m[:i][::-1])  # sum_k m_k m_{i+1-k}
+            rec[i] = rec[i - 1] + (m2[i - 1] - m1[i - 1] ** 2) / i + cross
+        assert gap == pytest.approx(np.max(np.abs(rec - vars_)), rel=1e-12)
 
     def test_moment_table_is_quiet(self, nllr):
         import warnings

@@ -4,18 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from cusumkit import models, moments, rng, simulate
+from cusumkit import detect, models, moments, rng, simulate
 from cusumkit.errors import (
     HorizonExceeded,
     InsufficientReps,
     StateBudgetExceeded,
+    TooLarge,
 )
+
+from _oracles import path_cusum_stats
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
 # unsorted support with a zero-probability atom
 TABLE5 = models.DiscreteTable(
     (2.0, -1.0, 0.5, -3.0, 1.0), (0.1, 0.4, 0.0, 0.2, 0.3)
 )
+TABLE3 = models.DiscreteTable((1.0, -0.5, -2.0), (0.25, 0.5, 0.25))
+# log-ratio increments log(1/2), log(3/2): no coarse lattice holds them
+IRRATIONAL = detect.DiscretePair((0.0, 1.0), (0.5, 0.5), (0.25, 0.75)).increment_model()
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +183,55 @@ class TestExactEnumeration:
     def test_continuous_rejected(self, nllr):
         with pytest.raises(TypeError):
             simulate.exact_enumerate(nllr, 5)
+
+    def test_large_keys_up_to_int64(self):
+        # a +-1 walk scaled by 4e4: keys +-4e16, and n * 4e16 < 2**63 up
+        # to n = 230, although n * (hi - lo) passes 2**63 from n = 116
+        table = models.DiscreteTable((4e4, -4e4), (0.4, 0.6))
+        big = simulate.exact_enumerate(table, 150)
+        unit = simulate.exact_enumerate(models.BernoulliPM(0.4), 150)
+        assert len(big.atoms) == len(unit.atoms)
+        for (kw, km), p in unit.atoms.items():
+            assert big.atoms[kw * 40_000, km * 40_000] == pytest.approx(p, rel=1e-12)
+        with pytest.raises(TooLarge):
+            simulate.exact_enumerate(table, 231)
+
+
+class TestEnumerationOracle:
+    """The whole joint law of (W_n, max W) against exhaustive paths."""
+
+    MODELS = [models.BernoulliPM(0.3), TABLE3, TABLE5, IRRATIONAL]
+    IDS = ["bernoulli", "table3", "table5", "irrational"]
+
+    @staticmethod
+    def _joint(triples):
+        # values rounded to 1e-9: far coarser than the 1e-12 key grid and
+        # the rounding of n float additions, far finer than atom spacing
+        law = {}
+        for w, m, p in triples:
+            key = (round(w, 9) + 0.0, round(m, 9) + 0.0)
+            law[key] = law.get(key, 0.0) + p
+        return law
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_every_atom(self, model, n):
+        dist = simulate.exact_enumerate(model, n)
+        got = self._joint(dist.items())
+        want = self._joint(path_cusum_stats(model.support, model.probs, n))
+        want = {k: p for k, p in want.items() if p > 0.0}
+        assert set(got) == set(want)
+        for key, p in want.items():
+            assert got[key] == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_prob_max_ge(self, model):
+        n = 8
+        dist = simulate.exact_enumerate(model, n)
+        triples = path_cusum_stats(model.support, model.probs, n)
+        for h in (0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 3.5, 6.0):
+            want = sum(p for _, m, p in triples if m >= h - 1e-9)
+            assert dist.prob_max_ge(h) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestStoppingStats:
