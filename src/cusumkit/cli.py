@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -213,19 +214,12 @@ def _cmd_queue_bound(args) -> None:
 
 
 def _parse_density(text: str):
-    kind, _, body = text.strip().partition(":")
-    fields = {}
-    for part in body.split(","):
-        if "=" in part:
-            k, v = part.split("=", 1)
-            fields[k.strip()] = v.strip()
-    if kind == "normal":
-        return ("normal", float(fields["mean"]), float(fields["sigma"]))
-    if kind == "table":
-        ys = tuple(float(v) for v in fields["y"].split(";"))
-        ps = tuple(float(v) for v in fields["p"].split(";"))
-        return ("table", ys, ps)
-    raise ValueError(f"unknown density kind {kind!r}")
+    spec = models.Spec(text)
+    if spec.kind == "normal":
+        return ("normal", spec.number("mean"), spec.number("sigma"))
+    if spec.kind == "table":
+        return ("table", spec.numbers("y"), spec.numbers("p"))
+    raise ValueError(f"unknown density kind {spec.kind!r}")
 
 
 def _build_pair(args):
@@ -248,6 +242,17 @@ def _build_pair(args):
     return detect.DiscretePair(support=f[1], f=f[2], g=g[2])
 
 
+def _finite(vals: list[float], first_line: int) -> np.ndarray:
+    """The values as an array; a nan or inf is an error naming its line."""
+    out = np.asarray(vals)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise CusumkitError(
+            f"line {first_line + bad[0]}: non-finite value {out[bad[0]]:g}"
+        )
+    return out
+
+
 def _read_values(path: str, field: str) -> np.ndarray:
     if path == "-":
         text = sys.stdin.read()
@@ -260,11 +265,11 @@ def _read_values(path: str, field: str) -> np.ndarray:
     if lines[0].lstrip().startswith("{"):
         vals = []
         for i, ln in enumerate(lines):
-            record = json.loads(ln)
+            record = json.loads(ln, parse_int=float)  # huge ints become inf
             if field not in record or not isinstance(record[field], (int, float)):
                 raise CusumkitError(f"line {i + 1}: missing numeric field {field!r}")
             vals.append(float(record[field]))
-        return np.asarray(vals)
+        return _finite(vals, 1)
     start = 0
     try:
         float(lines[0].split(",")[0])
@@ -277,7 +282,23 @@ def _read_values(path: str, field: str) -> np.ndarray:
             vals.append(float(cell))
         except ValueError:
             raise CusumkitError(f"line {i}: non-numeric value {cell!r}") from None
-    return np.asarray(vals)
+    return _finite(vals, start + 1)
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write text to path atomically: a crash leaves the old file or the
+    new one, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_detect(args) -> None:
@@ -308,8 +329,7 @@ def _cmd_detect(args) -> None:
             if alarm is not None:
                 new_alarms.append(alarm)
         if args.state:
-            with open(args.state, "w") as fh:
-                fh.write(state.to_json())
+            _replace_file(args.state, state.to_json())
         result = {
             "mode": "monitor",
             "threshold": h,

@@ -11,11 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedValue
 from .models import DiscreteTable, IncrementModel, NormalLLR
+
+# data are matched to support points by round(x * _KEY_SCALE)
+_KEY_SCALE = 1e9
 
 __all__ = [
     "NormalPair",
@@ -73,6 +77,7 @@ class DiscretePair:
                 raise ValueError(f"{name} must be a pmf summing to 1")
         if any(fp == 0.0 and gp > 0.0 for fp, gp in zip(self.f, self.g)):
             raise ValueError("g must vanish wherever f does")
+        self._llr_lookup  # keys the support once, refusing shared keys
 
     def increment_model(self) -> IncrementModel:
         # Distinct support points can share one log-ratio value; merge
@@ -92,18 +97,30 @@ class DiscretePair:
             values=values, weights=tuple(acc[v] for v in values), llr=True
         )
 
+    @cached_property
+    def _llr_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending data keys of the points with f > 0, and their log-ratios."""
+        keys = np.rint(np.asarray(self.support, dtype=float) * _KEY_SCALE)
+        if np.unique(keys).size < keys.size:
+            raise ValueError(
+                f"support points closer than 1/{_KEY_SCALE:g} share a data key"
+            )
+        live = [i for i, fp in enumerate(self.f) if fp > 0.0]
+        ratios = np.array([math.log(self.g[i] / self.f[i]) for i in live])
+        order = np.argsort(keys[live])
+        return keys[live][order], ratios[order]
+
     def llr(self, data: np.ndarray) -> np.ndarray:
-        lookup = {round(x * 1e9): math.log(gp / fp)
-                  for x, fp, gp in zip(self.support, self.f, self.g) if fp > 0.0}
-        out = np.empty(len(data))
-        for i, x in enumerate(np.asarray(data, dtype=float)):
-            key = round(x * 1e9)
-            if key not in lookup:
-                raise UnsupportedValue(
-                    f"datum {x:g} has zero density under the default pmf"
-                )
-            out[i] = lookup[key]
-        return out
+        keys, ratios = self._llr_lookup
+        x = np.asarray(data, dtype=float)
+        wanted = np.rint(x * _KEY_SCALE)
+        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        miss = np.flatnonzero(keys[pos] != wanted)
+        if miss.size:
+            raise UnsupportedValue(
+                f"datum {x[miss[0]]:g} has zero density under the default pmf"
+            )
+        return ratios[pos]
 
 
 def llr_increments(pair, data) -> np.ndarray:

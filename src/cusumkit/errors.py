@@ -23,7 +23,8 @@ class NotAnLLRModel(CusumkitError):
 
 
 class TooLarge(CusumkitError):
-    """Partition enumeration requested beyond the guard limit."""
+    """Input beyond a size guard: partition summation past its horizon, or
+    finite-support keys or their n-step sums outside int64."""
 
 
 class NoConvergence(CusumkitError):

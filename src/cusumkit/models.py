@@ -39,6 +39,7 @@ __all__ = [
     "BernoulliPM",
     "DiscreteTable",
     "RateFunction",
+    "Spec",
     "parse_model",
 ]
 
@@ -710,6 +711,39 @@ class RateFunction:
 # ---------------------------------------------------------------------------
 
 
+class Spec:
+    """A ``kind:key=val,...`` spec string; parts without ``=`` are flags.
+
+    Reading a field the spec lacks, or one that is not a number, raises
+    ValueError, so a malformed spec reaches the command line as an error
+    message rather than a traceback.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kind, _, body = text.strip().partition(":")
+        self.fields: dict[str, str] = {}
+        self.flags: list[str] = []
+        for part in body.split(","):
+            key, eq, val = part.partition("=")
+            if eq:
+                self.fields[key.strip()] = val.strip()
+            else:
+                self.flags.append(part.strip())
+
+    def _field(self, key: str) -> str:
+        if key not in self.fields:
+            raise ValueError(f"spec {self.text!r} is missing field {key!r}")
+        return self.fields[key]
+
+    def number(self, key: str) -> float:
+        return float(self._field(key))
+
+    def numbers(self, key: str) -> tuple[float, ...]:
+        """A ';'-separated list of numbers."""
+        return tuple(float(v) for v in self._field(key).split(";"))
+
+
 def parse_model(text: str) -> IncrementModel:
     """Parse the shared model grammar.
 
@@ -719,31 +753,17 @@ def parse_model(text: str) -> IncrementModel:
       bernoulli-pm:p=<float>
       table:y=<v1;v2;...>,p=<p1;p2;...>[,llr]
     """
-    kind, _, body = text.strip().partition(":")
-    if not body:
-        raise ValueError(f"malformed model spec {text!r}")
-    flags = []
-    fields = {}
-    for part in body.split(","):
-        if "=" in part:
-            key, val = part.split("=", 1)
-            fields[key.strip()] = val.strip()
-        else:
-            flags.append(part.strip())
-    try:
-        if kind == "normal-llr":
-            return NormalLLR(delta=float(fields["delta"]))
-        if kind == "shifted-normal":
-            return ShiftedNormal(a=float(fields["a"]), sigma=float(fields["sigma"]))
-        if kind == "bernoulli-pm":
-            return BernoulliPM(p=float(fields["p"]))
-        if kind == "table":
-            values = tuple(float(v) for v in fields["y"].split(";"))
-            weights = tuple(float(w) for w in fields["p"].split(";"))
-            return DiscreteTable(values=values, weights=weights, llr="llr" in flags)
-    except KeyError as exc:
-        raise ValueError(f"model spec {text!r} is missing field {exc}") from None
-    raise ValueError(f"unknown model kind {kind!r}")
+    spec = Spec(text)
+    if spec.kind == "normal-llr":
+        return NormalLLR(delta=spec.number("delta"))
+    if spec.kind == "shifted-normal":
+        return ShiftedNormal(a=spec.number("a"), sigma=spec.number("sigma"))
+    if spec.kind == "bernoulli-pm":
+        return BernoulliPM(p=spec.number("p"))
+    if spec.kind == "table":
+        return DiscreteTable(values=spec.numbers("y"), weights=spec.numbers("p"),
+                             llr="llr" in spec.flags)
+    raise ValueError(f"unknown model kind {spec.kind!r}")
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._kernels import convolution_recursion
 from .errors import FormulaMismatch, NoConvergence, TooLarge
 from .models import IncrementModel, cached_lambda_star
 
@@ -62,6 +61,17 @@ class MgfSeries:
     lam: float
     horizon: int
     values: np.ndarray
+
+
+def convolution_recursion(x: np.ndarray) -> np.ndarray:
+    """Given x[0..N-1] = x_1..x_N, return b[0..N] with b_0 = 1 and
+    b_{n+1} = (1/(n+1)) sum_{k<=n} b_k x_{n-k+1}, in O(N^2)."""
+    n_terms = x.shape[0]
+    b = np.empty(n_terms + 1)
+    b[0] = 1.0
+    for n in range(n_terms):
+        b[n + 1] = np.dot(b[: n + 1], x[n::-1]) / (n + 1)
+    return b
 
 
 @lru_cache(maxsize=64)
@@ -142,7 +152,7 @@ def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n by the convolution recursion
     M_{k+1} = (1/(k+1)) sum_{j<=k} M_j x_{k-j+1}."""
     xs = _x_seq(model, lam, n) if n > 0 else np.empty(0)
-    values = convolution_recursion(np.ascontiguousarray(xs))
+    values = convolution_recursion(xs)
     return MgfSeries(lam=lam, horizon=n, values=values)
 
 
@@ -210,7 +220,7 @@ def rescaled_bell(xs) -> np.ndarray:
     B~_0 = 1 and B~_{n+1} = (1/(n+1)) sum_{k<=n} B~_k x_{n-k+1}; feeding
     the rectified exponential moments reproduces the CUSUM MGF sequence.
     """
-    return convolution_recursion(np.ascontiguousarray(xs, dtype=float))
+    return convolution_recursion(np.asarray(xs, dtype=float))
 
 
 def asymptote_slope(
@@ -230,7 +240,7 @@ def asymptote_slope(
     size = 256
     while True:
         xs = model.rectified_exp_seq(lam_star, size)
-        d = convolution_recursion(np.ascontiguousarray(xs - 2.0))
+        d = convolution_recursion(xs - 2.0)
         stop = None
         for k in range(2, size + 1):
             prev, cur = abs(d[k - 1]), abs(d[k])

@@ -13,11 +13,11 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from ._kernels import lindley_block
 from .errors import HorizonExceeded, InsufficientReps, StateBudgetExceeded
 from .models import _GRID, IncrementModel, _DiscreteBase, _merge_atoms
 
@@ -74,6 +74,27 @@ def _increments_chunk(
     model: IncrementModel, seed: int, first_rep: int, reps: int, n: int
 ) -> np.ndarray:
     return model.quantile(rng.uniform_block(seed, first_rep, reps, n))
+
+
+def lindley_block(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold W_{t+1} = max(W_t + y_t, 0) over axis 1 of a (reps, n) block.
+
+    Returns the terminal value W_n and the running maximum per path.  This
+    is the last stage of the chunk pipeline: Philox uniforms
+    (rng.uniform_block), then the model's inverse CDF
+    (IncrementModel.quantile), then this fold, on chunks of about one
+    million elements so each stage's output is still in cache for the
+    next.  The fold keeps the rep-major layout and updates its two per-path
+    accumulators in place, one column per step.
+    """
+    reps, n = y.shape
+    w = np.zeros(reps)
+    mx = np.zeros(reps)
+    for t in range(n):
+        np.add(w, y[:, t], out=w)
+        np.maximum(w, 0.0, out=w)
+        np.maximum(mx, w, out=mx)
+    return w, mx
 
 
 def _run_chunk(config: SimConfig, first_rep: int, reps: int):
@@ -179,31 +200,47 @@ def mc_tail_max(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactDistribution:
     """Exact joint law of (W_n, max over [0, n] of W_t).
 
-    Atoms map pairs of grid keys (kw, km), the values divided by 1e-12, to
-    probabilities.  Keys are sums of the support's keys round(y / 1e-12),
-    so they are exact for integer and half-integer supports.
+    Atoms are pairs of grid keys (kw, km), the values divided by 1e-12,
+    with their probabilities: held as the read-only arrays w_keys,
+    max_keys and probs in np.lexsort order, and as the dict ``atoms``.
+    Keys are sums of the support's keys round(y / 1e-12), so they are
+    exact for integer and half-integer supports.
     """
 
     n: int
-    atoms: dict[tuple[int, int], float] = field(repr=False)
+    w_keys: np.ndarray = field(repr=False)
+    max_keys: np.ndarray = field(repr=False)
+    probs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def atoms(self) -> dict[tuple[int, int], float]:
+        """Probability of each (kw, km) key pair."""
+        keys = zip(self.w_keys.tolist(), self.max_keys.tolist())
+        return dict(zip(keys, self.probs.tolist()))
 
     def items(self):
-        for (kw, km), p in self.atoms.items():
+        for kw, km, p in zip(self.w_keys.tolist(), self.max_keys.tolist(),
+                             self.probs.tolist()):
             yield kw * _GRID, km * _GRID, p
 
     def total(self) -> float:
-        return float(sum(self.atoms.values()))
+        return float(sum(self.probs.tolist()))
+
+    @cached_property
+    def _w_law(self) -> tuple[np.ndarray, np.ndarray]:
+        (keys,), probs = _merge_atoms((self.w_keys,), self.probs)
+        vals = keys * _GRID
+        vals.setflags(write=False)
+        probs.setflags(write=False)
+        return vals, probs
 
     def w_marginal(self) -> tuple[np.ndarray, np.ndarray]:
-        acc: dict[int, float] = {}
-        for (kw, _), p in self.atoms.items():
-            acc[kw] = acc.get(kw, 0.0) + p
-        keys = np.array(sorted(acc), dtype=np.int64)
-        return keys * _GRID, np.array([acc[k] for k in keys])
+        """Ascending values of W_n and their probabilities (read-only)."""
+        return self._w_law
 
     def mean_w(self) -> float:
         vals, probs = self.w_marginal()
@@ -219,9 +256,7 @@ class ExactDistribution:
         return float(np.dot(np.exp(lam * vals), probs))
 
     def prob_max_ge(self, h: float) -> float:
-        return float(
-            sum(p for (_, km), p in self.atoms.items() if km * _GRID >= h - 1e-15)
-        )
+        return float(sum(self.probs[self.max_keys * _GRID >= h - 1e-15].tolist()))
 
 
 def exact_enumerate(
@@ -249,8 +284,9 @@ def exact_enumerate(
             raise StateBudgetExceeded(
                 f"{q.size} states exceed the budget of {state_budget}"
             )
-    atoms = dict(zip(zip(kw.tolist(), km.tolist()), q.tolist()))
-    return ExactDistribution(n=n, atoms=atoms)
+    for a in (kw, km, q):
+        a.setflags(write=False)
+    return ExactDistribution(n=n, w_keys=kw, max_keys=km, probs=q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ lower bounds, and inverse-CDF sampling comes from a single implementation
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = ["norm_cdf", "norm_sf", "norm_ppf", "norm_pdf"]
+__all__ = ["norm_cdf", "norm_ppf", "norm_pdf"]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -16,11 +16,6 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def norm_cdf(x):
     """Standard normal CDF."""
     return ndtr(x)
-
-
-def norm_sf(x):
-    """Standard normal survival function, accurate for large x."""
-    return ndtr(-np.asarray(x, dtype=float)) if np.ndim(x) else ndtr(-x)
 
 
 def norm_ppf(q):

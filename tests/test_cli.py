@@ -186,6 +186,60 @@ class TestDetectSubcommand:
         assert code == 0
         assert rep["statistic"] == pytest.approx(2 * math.log(1.5))
 
+    @pytest.mark.parametrize("f, g", [
+        ("normal:mean=0", "normal:mean=1,sigma=1"),
+        ("table:y=0;1", "table:y=0;1,p=0.25;0.75"),
+    ], ids=["normal", "table"])
+    def test_density_spec_missing_field(self, capsys, tmp_path, f, g):
+        data = tmp_path / "d.csv"
+        data.write_text("1\n")
+        code, _, err = run(capsys, "detect", "--f", f, "--g", g,
+                           "--input", str(data))
+        assert code == 1
+        assert err.startswith("error: ") and "missing field" in err
+
+    @pytest.mark.parametrize("pair", [
+        ["--theta0", "0", "--theta1", "1"],
+        ["--f", "table:y=0;1,p=0.5;0.5", "--g", "table:y=0;1,p=0.25;0.75"],
+    ], ids=["normal", "table"])
+    @pytest.mark.parametrize("name, text, line", [
+        ("obs.csv", "value\n1\ninf\n0\n", 3),
+        ("obs.csv", "nan\n", 1),
+        ("obs.jsonl", '{"value": 1}\n{"value": 0}\n{"value": NaN}\n', 3),
+        ("obs.jsonl", '{"value": -Infinity}\n', 1),
+        ("obs.jsonl", '{"value": 0}\n{"value": 1%s}\n' % ("0" * 400), 2),
+    ], ids=["csv-inf", "csv-nan", "jsonl-nan", "jsonl-inf", "jsonl-huge-int"])
+    def test_non_finite_value_is_error(self, capsys, tmp_path, pair, name, text, line):
+        data = tmp_path / name
+        data.write_text(text)
+        code, out, err = run(capsys, "detect", *pair, "--input", str(data),
+                             "--threshold-variant", "custom", "--h", "1.0")
+        assert code == 1 and out == ""
+        assert f"line {line}: non-finite" in err
+
+    @pytest.mark.parametrize("target", ["serialise", "replace"])
+    def test_monitor_state_survives_failed_write(self, capsys, tmp_path, monkeypatch,
+                                                 target):
+        state = tmp_path / "state.json"
+        data = tmp_path / "a.csv"
+        data.write_text("0.8\n0.9\n")
+        argv = ["detect", "--theta0", "0", "--theta1", "1", "--mode", "monitor",
+                "--threshold-variant", "custom", "--h", "5", "--state", str(state),
+                "--input", str(data)]
+        assert run(capsys, *argv)[0] == 0
+        before = state.read_text()
+
+        def fail(*args):
+            raise OSError("write failed")
+
+        if target == "serialise":
+            monkeypatch.setattr(cli.detect.CusumState, "to_json", fail)
+        else:
+            monkeypatch.setattr(cli.os, "replace", fail)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "write failed" in err
+        assert state.read_text() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "state.json"]
 
 class TestFigures:
     def test_figure1_columns_grow_linearly(self, capsys):

@@ -53,6 +53,39 @@ class TestLlrIncrements:
         with pytest.raises(UnsupportedValue):
             detect.llr_increments(pair, [2.0])
 
+    @pytest.mark.parametrize("data", [[1.0, 0.0, 0.5], [-1.0], [0.0, 1.0 + 1e-8],
+                                      [1.0, np.nan], [np.inf, 0.0], [5.0]],
+                             ids=["between", "below", "off-key", "nan", "inf", "zero-f"])
+    def test_off_support_data_rejected(self, data):
+        pair = detect.DiscretePair((0.0, 1.0, 5.0), (0.5, 0.5, 0.0), (0.25, 0.75, 0.0))
+        with pytest.raises(UnsupportedValue):
+            detect.llr_increments(pair, data)
+
+    def test_llr_matches_per_datum_lookup(self):
+        # the per-datum dictionary lookup the array search replaced
+        def reference(pair, data):
+            lookup = {round(x * 1e9): math.log(gp / fp)
+                      for x, fp, gp in zip(pair.support, pair.f, pair.g) if fp > 0.0}
+            return np.array([lookup[round(x * 1e9)] for x in data])
+
+        gen = np.random.default_rng(3)
+        support = (-2.5, 0.1, 0.3, 1e-9, 7.0, 1234.5678, 3e6)
+        f = gen.dirichlet(np.ones(len(support)))
+        g = gen.dirichlet(np.ones(len(support)))
+        pair = detect.DiscretePair(support, tuple(f), tuple(g))
+        data = gen.choice(support, size=500)
+        data[:3] = (0.1 + 0.2, 0.3 + 2e-10, 1e-9 - 4e-10)  # within 0.5e-9 of a point
+        want = reference(pair, data)
+        got = detect.llr_increments(pair, data)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert detect.llr_increments(pair, []).shape == (0,)
+
+    def test_support_points_sharing_a_key_rejected(self):
+        with pytest.raises(ValueError, match="share"):
+            detect.DiscretePair((0.0, 1.0, 1.0 + 1e-10), (0.5, 0.25, 0.25),
+                                (0.25, 0.5, 0.25))
+
     def test_pair_validation(self):
         with pytest.raises(ValueError):
             detect.NormalPair(1.0, 1.0, 1.0)

@@ -1,23 +1,20 @@
-import os
-import subprocess
-import sys
+"""Reference checks for the two hot loops: the Lindley fold behind the
+Monte Carlo paths and the convolution recursion behind M_n(lambda)."""
 
 import numpy as np
 import pytest
 
-from cusumkit import _kernels, models
+from cusumkit import moments, simulate
 
 
 @pytest.fixture(scope="module")
 def increments():
-    return np.ascontiguousarray(
-        np.random.default_rng(0).normal(-0.2, 1.0, size=(64, 48))
-    )
+    return np.random.default_rng(0).normal(-0.2, 1.0, size=(64, 48))
 
 
 class TestLindleyKernel:
     def test_numpy_path_reference_values(self, increments):
-        wf, wm = _kernels._lindley_block_np(increments)
+        wf, wm = simulate.lindley_block(increments)
         # scalar re-trace of the first replication
         w, m = 0.0, 0.0
         for y in increments[0]:
@@ -25,57 +22,13 @@ class TestLindleyKernel:
             m = max(m, w)
         assert wf[0] == w and wm[0] == m
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_jit_bit_identical_to_numpy(self, increments):
-        wf_j, wm_j = _kernels._lindley_block_jit(increments)
-        wf_n, wm_n = _kernels._lindley_block_np(increments)
-        np.testing.assert_array_equal(wf_j, wf_n)
-        np.testing.assert_array_equal(wm_j, wm_n)
-
     def test_zero_columns(self):
-        wf, wm = _kernels._lindley_block_np(np.zeros((3, 5)))
+        wf, wm = simulate.lindley_block(np.zeros((3, 5)))
         np.testing.assert_array_equal(wf, 0.0)
         np.testing.assert_array_equal(wm, 0.0)
 
 
 class TestConvolutionKernel:
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_jit_close_to_numpy(self):
-        xs = models.NormalLLR(1.0).rectified_exp_seq(1.0, 300)
-        a = _kernels._convolution_recursion_np(xs)
-        b = _kernels._convolution_recursion_jit(np.ascontiguousarray(xs))
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
     def test_empty_input(self):
-        out = _kernels._convolution_recursion_np(np.empty(0))
+        out = moments.convolution_recursion(np.empty(0))
         np.testing.assert_array_equal(out, [1.0])
-
-
-class TestEnvFlag:
-    def test_fallback_selected_by_env(self):
-        code = (
-            "from cusumkit._kernels import lindley_block, _lindley_block_np;"
-            "import sys;"
-            "sys.exit(0 if lindley_block is _lindley_block_np else 1)"
-        )
-        env = dict(os.environ, CUSUMKIT_NO_NUMBA="1")
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-    def test_results_invariant_under_fallback(self):
-        # same seed through a subprocess with numba disabled
-        code = (
-            "import numpy as np;"
-            "from cusumkit import models, simulate;"
-            "r = simulate.simulate_cusum("
-            "simulate.SimConfig(models.NormalLLR(1.0), 25, 50, seed=4));"
-            "print(float(r.w_final.sum()), float(r.w_max.sum()))"
-        )
-        env = dict(os.environ, CUSUMKIT_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        ).stdout.split()
-        from cusumkit import models as mm, simulate as sim
-
-        r = sim.simulate_cusum(sim.SimConfig(mm.NormalLLR(1.0), 25, 50, seed=4))
-        assert float(out[0]) == r.w_final.sum()
-        assert float(out[1]) == r.w_max.sum()

@@ -167,6 +167,19 @@ class TestExactEnumeration:
         mgf = moments.cusum_mgf_recursive(model, 1.0, n).values[n]
         assert dist.mgf_w(1.0) == pytest.approx(mgf, rel=1e-12)
 
+    @pytest.mark.parametrize("model, n", [(models.BernoulliPM(0.3), 100),
+                                          (models.DiscreteTable((1.0, -0.5, -2.0),
+                                                                (0.25, 0.5, 0.25)), 30)])
+    def test_w_marginal_matches_atom_sums(self, model, n):
+        dist = simulate.exact_enumerate(model, n)
+        acc: dict[int, float] = {}
+        for (kw, _), p in dist.atoms.items():
+            acc[kw] = acc.get(kw, 0.0) + p
+        keys = sorted(acc)
+        vals, probs = dist.w_marginal()
+        np.testing.assert_array_equal(vals, np.array(keys) * 1e-12)
+        np.testing.assert_allclose(probs, [acc[k] for k in keys], rtol=1e-15, atol=0)
+
     def test_tail_against_simulation(self):
         m = models.BernoulliPM(0.3)
         n, h = 30, 3.0
