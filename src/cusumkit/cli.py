@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -32,19 +31,20 @@ _SEED_ENV = "CUSUMKIT_SEED"
 # ---------------------------------------------------------------------------
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_fragment(obj) -> str:
     """JSON with floats printed at 17 significant digits."""
+    if isinstance(obj, (float, np.floating)):  # first: paths and tables hold most
+        text = format(float(obj), ".17g")
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(_json_fragment, obj)) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -54,8 +54,6 @@ def _json_fragment(obj) -> str:
             f"{json.dumps(str(k))}:{_json_fragment(v)}" for k, v in obj.items()
         )
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_fragment(v) for v in obj) + "]"
     if dataclasses.is_dataclass(obj):
         return _json_fragment(dataclasses.asdict(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -242,47 +240,84 @@ def _build_pair(args):
     return detect.DiscretePair(support=f[1], f=f[2], g=g[2])
 
 
-def _finite(vals: list[float], first_line: int) -> np.ndarray:
-    """The values as an array; a nan or inf is an error naming its line."""
-    out = np.asarray(vals)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise CusumkitError(
-            f"line {first_line + bad[0]}: non-finite value {out[bad[0]]:g}"
-        )
-    return out
+# one decoder for every JSONL read; huge ints become inf
+_JSONL = json.JSONDecoder(parse_int=float)
 
 
 def _read_values(path: str, field: str) -> np.ndarray:
+    """One value per non-blank line: the first comma field of a CSV row
+    (after an optional header row), or ``field`` of a JSONL record.
+
+    CSV lines are parsed in bulk; when that fails, or yields a nan or inf,
+    the per-line pass (``_parse_lines``) raises the error naming the line.
+    JSONL records are decoded one line at a time by that pass.
+    """
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    first = next((ln for ln in lines if ln.strip()), None)
+    if first is None:
         return np.empty(0)
-    if lines[0].lstrip().startswith("{"):
-        vals = []
-        for i, ln in enumerate(lines):
-            record = json.loads(ln, parse_int=float)  # huge ints become inf
-            if field not in record or not isinstance(record[field], (int, float)):
-                raise CusumkitError(f"line {i + 1}: missing numeric field {field!r}")
-            vals.append(float(record[field]))
-        return _finite(vals, 1)
-    start = 0
+    jsonl = first.lstrip().startswith("{")
+    if not jsonl:
+        vals = _csv_bulk([ln for ln in lines if ln.strip()], "," in text)
+        if vals is not None:
+            out = np.array(vals)
+            if np.isfinite(out).all():
+                return out
+    return _parse_lines(lines, field, jsonl)
+
+
+def _is_header(line: str) -> bool:
     try:
-        float(lines[0].split(",")[0])
+        float(line.split(",")[0])
     except ValueError:
-        start = 1  # header row
+        return True
+    return False
+
+
+def _csv_bulk(lines: list[str], commas: bool) -> list[float] | None:
+    cells = lines[1:] if _is_header(lines[0]) else lines
+    if commas:
+        cells = [ln.split(",", 1)[0] for ln in cells]
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return None
+
+
+def _parse_lines(lines: list[str], field: str, jsonl: bool) -> np.ndarray:
+    """The per-line reader: errors name the line of the file they are on."""
+    rows = [(i, ln) for i, ln in enumerate(lines, 1) if ln.strip()]
     vals = []
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        cell = ln.split(",")[0].strip()
-        try:
-            vals.append(float(cell))
-        except ValueError:
-            raise CusumkitError(f"line {i}: non-numeric value {cell!r}") from None
-    return _finite(vals, start + 1)
+    if jsonl:
+        decode = _JSONL.decode
+        for i, ln in rows:
+            try:
+                record = decode(ln)
+            except ValueError as exc:
+                raise CusumkitError(f"line {i}: {exc}") from None
+            value = record.get(field) if type(record) is dict else None
+            if type(value) is not float:
+                raise CusumkitError(f"line {i}: missing numeric field {field!r}")
+            vals.append(value)
+    else:
+        if _is_header(rows[0][1]):
+            rows = rows[1:]
+        for i, ln in rows:
+            cell = ln.split(",")[0].strip()
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise CusumkitError(f"line {i}: non-numeric value {cell!r}") from None
+    out = np.array(vals, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise CusumkitError(f"line {rows[bad[0]][0]}: non-finite value {out[bad[0]]:g}")
+    return out
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -316,18 +351,14 @@ def _cmd_detect(args) -> None:
             pair.increment_model(), n, args.alpha, args.threshold_variant
         )
 
+    rows = None  # (t, W_t), built only when the output carries the path
     if args.mode == "monitor":
         state = detect.CusumState()
         if args.state and os.path.exists(args.state):
             with open(args.state) as fh:
                 state = detect.CusumState.from_json(fh.read())
-        new_alarms = []
-        path = []
-        for y in increments:
-            state, alarm = detect.monitor_step(state, float(y), h)
-            path.append((state.t, state.w))
-            if alarm is not None:
-                new_alarms.append(alarm)
+        t0 = state.t
+        state, new_alarms, path = detect.monitor_run(state, increments, h)
         if args.state:
             _replace_file(args.state, state.to_json())
         result = {
@@ -340,30 +371,30 @@ def _cmd_detect(args) -> None:
             "new_alarms": new_alarms,
             "all_alarms": list(state.alarms),
         }
-        if args.emit_path:
-            result["path"] = path
-        _emit(args, result, ["t", "w"], path)
-        return
-
-    report = detect.scan_offline(increments, h)
-    statistic = (
-        report.statistic_final if args.mode == "abrupt" else report.statistic_max
-    )
-    detected = statistic >= h
-    result = {
-        "mode": args.mode,
-        "threshold": h,
-        "threshold_variant": args.threshold_variant,
-        "n": n,
-        "statistic": statistic,
-        "statistic_final": report.statistic_final,
-        "statistic_max": report.statistic_max,
-        "detected": detected,
-        "change_interval": report.change_interval if detected else None,
-    }
+        if args.emit_path or args.format == "csv":
+            rows = list(zip(range(t0 + 1, state.t + 1), path))
+    else:
+        report = detect.scan_offline(increments, h)
+        statistic = (
+            report.statistic_final if args.mode == "abrupt" else report.statistic_max
+        )
+        detected = statistic >= h
+        result = {
+            "mode": args.mode,
+            "threshold": h,
+            "threshold_variant": args.threshold_variant,
+            "n": n,
+            "statistic": statistic,
+            "statistic_final": report.statistic_final,
+            "statistic_max": report.statistic_max,
+            "detected": detected,
+            "change_interval": report.change_interval if detected else None,
+        }
+        if args.emit_path or args.format == "csv":
+            rows = list(enumerate(report.path.tolist()))
     if args.emit_path:
-        result["path"] = [(t, w) for t, w in enumerate(report.path)]
-    _emit(args, result, ["t", "w"], list(enumerate(report.path)))
+        result["path"] = rows
+    _emit(args, result, ["t", "w"], rows)
 
 
 # -- figure data -------------------------------------------------------------

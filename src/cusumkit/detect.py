@@ -3,14 +3,15 @@
 Builds log-likelihood-ratio increments from a hypothesis pair (default
 density f against disturbed density g), runs the offline CUSUM scan for
 abrupt and transient changes, and offers a streaming monitor with
-threshold alarms and multi-change resets.
+threshold alarms and multi-change resets.  The scan and the monitor share
+one Lindley fold, ``monitor_run``, over Python floats.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "DetectionReport",
     "llr_increments",
     "scan_offline",
+    "monitor_run",
     "monitor_step",
 ]
 
@@ -153,22 +155,19 @@ def scan_offline(increments, h: float, keep_path: bool = True) -> DetectionRepor
         raise ValueError("threshold must be positive")
     y = np.asarray(increments, dtype=float)
     n = y.shape[0]
-    s = np.concatenate(([0.0], np.cumsum(y)))
-    prefix_min = np.minimum.accumulate(s)
-    # the path uses the reflected recursion itself, so folding
-    # monitor_step over the same increments matches it bit for bit
+    # the path is the monitor's fold itself, so folding monitor_step over
+    # the same increments matches it bit for bit; W >= nan never alarms
+    _, _, path = monitor_run(CusumState(), y, math.nan)
     w = np.empty(n + 1)
     w[0] = 0.0
-    acc = 0.0
-    for i in range(n):
-        acc = max(acc + y[i], 0.0)
-        w[i + 1] = acc
+    w[1:] = path
     stat_max = float(np.max(w))
     detected = stat_max >= h
     interval = None
     if detected and n > 0:
+        s = np.concatenate(([0.0], np.cumsum(y)))
         b_hat = int(np.argmax(w))  # first index attaining the max
-        lo = prefix_min[b_hat]
+        lo = np.min(s[: b_hat + 1])
         candidates = np.nonzero(s[:b_hat] == lo)[0]
         a_hat = int(candidates[-1])  # largest minimizing start
         interval = (a_hat, b_hat)
@@ -213,24 +212,43 @@ class CusumState:
         )
 
 
+def monitor_run(
+    state: CusumState, ys, h: float = math.inf
+) -> tuple[CusumState, list[tuple[int, float]], list[float]]:
+    """Fold a batch of increments through the streaming monitor.
+
+    Applies the reflected recursion to each increment; when the updated
+    value reaches h an alarm (time, value) is recorded and the statistic
+    resets to zero so later changes are detected under the same familywise
+    threshold.  Returns the new state, the alarms of this batch, and the
+    path: W after each step, 0.0 after an alarm's reset.
+
+    ``w += y`` then clamping when ``w < 0.0`` is the IEEE result of
+    ``max(w + y, 0.0)``, -0.0 and NaN included, so any split of the
+    increments into batches gives the same bits.
+    """
+    w, t, top = state.w, state.t, state.running_max
+    alarms: list[tuple[int, float]] = []
+    path: list[float] = []
+    record = path.append
+    for y in np.asarray(ys, dtype=float).tolist():
+        w += y
+        if w < 0.0:
+            w = 0.0
+        if w > top:
+            top = w
+        if w >= h:
+            alarms.append((t + len(path) + 1, w))
+            w = 0.0
+        record(w)
+    new = CusumState(w=w, t=t + len(path), running_max=top,
+                     alarms=state.alarms + tuple(alarms))
+    return new, alarms, path
+
+
 def monitor_step(
     state: CusumState, y: float, h: float = math.inf
 ) -> tuple[CusumState, tuple[int, float] | None]:
-    """One step of the streaming monitor.
-
-    Applies the reflected recursion; when the updated value reaches h an
-    alarm (time, value) is recorded and the statistic resets to zero so
-    later changes are detected under the same familywise threshold.
-    """
-    w = max(state.w + y, 0.0)
-    t = state.t + 1
-    running_max = max(state.running_max, w)
-    alarm = None
-    if w >= h:
-        alarm = (t, w)
-        new = CusumState(
-            w=0.0, t=t, running_max=running_max, alarms=state.alarms + (alarm,)
-        )
-    else:
-        new = replace(state, w=w, t=t, running_max=running_max)
-    return new, alarm
+    """One step of the streaming monitor: ``monitor_run`` on one increment."""
+    new, alarms, _ = monitor_run(state, (y,), h)
+    return new, alarms[0] if alarms else None

@@ -1,16 +1,19 @@
 """Slow, independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: numeric quadrature for normal
-expectations, exhaustive path enumeration for discrete walks, and double
-loops for maxima.  The production code must match these, never the other
-way around.
+expectations, exhaustive path enumeration for discrete walks, double
+loops for maxima, one ``max`` per monitor step and one parse per data
+line.  The production code must match these, never the other way around.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from cusumkit.errors import CusumkitError
 
 
 def normal_pdf(x, mu, sd):
@@ -90,3 +93,58 @@ def brute_max_increment_span(y):
         for a in range(b):
             best = max(best, s[b] - s[a])
     return best
+
+
+def monitor_step_max(w, t, running_max, alarms, y, h):
+    """One streaming-monitor step in the ``max`` form, on plain values.
+
+    Returns the new (w, t, running_max, alarms) and the alarm or None.
+    """
+    w = max(w + y, 0.0)
+    t += 1
+    running_max = max(running_max, w)
+    if w >= h:
+        return (0.0, t, running_max, alarms + ((t, w),)), (t, w)
+    return (w, t, running_max, alarms), None
+
+
+def read_values_per_line(path, field):
+    """The per-line data reader: one float() or json.loads per non-blank line.
+
+    Errors name the physical line, a JSON syntax error included.  A CSV
+    header is a first row whose first comma field is not a float; JSONL
+    records must be objects whose field holds a number (not a boolean).
+    """
+    with open(path) as fh:
+        text = fh.read()
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        return np.empty(0)
+    vals, where = [], []
+    if rows[0][1].lstrip().startswith("{"):
+        for i, ln in rows:
+            try:
+                record = json.loads(ln, parse_int=float)
+            except ValueError as exc:
+                raise CusumkitError(f"line {i}: {exc}") from None
+            value = record.get(field) if isinstance(record, dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CusumkitError(f"line {i}: missing numeric field {field!r}")
+            vals.append(float(value))
+            where.append(i)
+    else:
+        try:
+            float(rows[0][1].split(",")[0])
+        except ValueError:
+            rows = rows[1:]  # header row
+        for i, ln in rows:
+            cell = ln.split(",")[0].strip()
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise CusumkitError(f"line {i}: non-numeric value {cell!r}") from None
+            where.append(i)
+    for i, v in zip(where, vals):
+        if not math.isfinite(v):
+            raise CusumkitError(f"line {i}: non-finite value {v:g}")
+    return np.asarray(vals, dtype=float)

@@ -3,9 +3,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cusumkit import cli, models, moments
+from cusumkit.errors import CusumkitError
+
+from _oracles import read_values_per_line
 
 
 def run(capsys, *argv):
@@ -156,6 +162,23 @@ class TestDetectSubcommand:
         assert rep["w"] == pytest.approx(1.1)
         assert rep["new_alarms"] == []
 
+    def test_monitor_path_and_csv_rows(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        (tmp_path / "a.csv").write_text("1.5\n1.5\n")
+        (tmp_path / "b.csv").write_text("1.0\n")
+        common = ["detect", "--theta0", "0", "--theta1", "1", "--mode", "monitor",
+                  "--threshold-variant", "custom", "--h", "1.5", "--state", str(state)]
+        code, out, _ = run(capsys, *common, "--input", str(tmp_path / "a.csv"),
+                           "--emit-path")
+        rep = json.loads(out)["result"]
+        assert code == 0
+        assert rep["new_alarms"] == [[2, 2.0]]
+        assert rep["path"] == [[1, 1.0], [2, 0.0]]  # the value after the reset
+        code, out, _ = run(capsys, *common, "--input", str(tmp_path / "b.csv"),
+                           "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["t,w", "3,0.5"]
+
     def test_input_file_closed(self, tmp_path):
         data = tmp_path / "obs.csv"
         data.write_text("value\n0.5\n1.5\n")
@@ -240,6 +263,116 @@ class TestDetectSubcommand:
         assert code == 1 and "write failed" in err
         assert state.read_text() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "state.json"]
+
+
+def _outcome(read, path, field="value"):
+    """The array a reader returns, or the type and text of its error."""
+    try:
+        return read(str(path), field).tobytes()
+    except (CusumkitError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_blank = st.sampled_from(["", "  ", "\t"])
+_cell = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e3", "-0.0", "1_000", "nan", "inf", "-Infinity", "x", "", "1.5.2"]),
+)
+_csv_row = st.tuples(
+    st.sampled_from(["", " ", "\t "]), _cell, st.sampled_from(["", " ", "  "]),
+    st.lists(st.sampled_from(["a", "2", "", " 3 "]), max_size=2),
+).map(lambda r: r[0] + r[1] + r[2] + "".join("," + c for c in r[3]))
+_number = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "Infinity", "1" + "0" * 400]),
+)
+_record = st.one_of(
+    st.tuples(st.integers(0, 99), _number).map(
+        lambda r: f'{{"t": {r[0]}, "value": {r[1]}}}'),
+    _number.map(lambda v: f'{{"value":{v}}}'),
+    st.sampled_from(['{"t": 1}', '{"value": true}', '{"value": "1"}', '{"value": null}',
+                     '"value"', "[1]", "3", '{"value": 1', '  {"value": 2}',
+                     '{"value": 1}, {"value": 2}', '{"value": 1, "s": "}{"}',
+                     '{"s": "a}', '{", "value": 2}']),
+)
+
+
+class TestReadValues:
+    @pytest.mark.parametrize("name, text, message", [
+        ("obs.csv", "value\n1\n\nx\n", "line 4: non-numeric value 'x'"),
+        ("obs.csv", "value\n1\n\n  \ninf\n", "line 5: non-finite value inf"),
+        ("obs.jsonl", '{"value": 1}\n\n{"value": NaN}\n', "line 3: non-finite value nan"),
+        ("obs.jsonl", '\n{"value": 1}\n\n{"other": 2}\n',
+         "line 4: missing numeric field 'value'"),
+        ("obs.jsonl", '{"value": 1}\n\n{bad}\n', "line 3: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["csv-non-numeric", "csv-non-finite", "jsonl-non-finite", "jsonl-missing",
+            "jsonl-syntax"])
+    def test_errors_name_the_physical_line(self, capsys, tmp_path, name, text, message):
+        data = tmp_path / name
+        data.write_text(text)
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--input", str(data), "--threshold-variant", "custom",
+                             "--h", "1.0")
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: {message}\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"value": 1}\n"value"\n', 2),
+        ('{"value": true}\n', 1),
+        ('{"value": 1}\n[1]\n', 2),
+        ('{"value": 1}\n{"value": false}\n', 2),
+    ], ids=["string-record", "boolean-field", "array-record", "boolean-later"])
+    def test_record_without_a_number_is_typed_error(self, capsys, tmp_path, text, line):
+        data = tmp_path / "obs.jsonl"
+        data.write_text(text)
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--input", str(data), "--threshold-variant", "custom",
+                             "--h", "1.0")
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: line {line}: missing numeric field 'value'\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"value": 1\n"x": 2}, {"value": 3}\n',
+        '{"value": 1, "w": [{}\n{}]}\n{"value": 2}, {"value": 3}\n',
+        '{"value": 1, "s": "}\n{"}, {"value": 2}\n',
+        '{"s": "a}\n{", "value": 2}\n',
+    ], ids=["split-object", "nested-object", "brace-in-string", "braces-balanced"])
+    def test_record_spanning_lines_refused(self, tmp_path, text):
+        # each of these files decodes as one JSON array of numeric records
+        data = tmp_path / "obs.jsonl"
+        data.write_text(text)
+        assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+        with pytest.raises(CusumkitError, match="^line 1: "):
+            cli._read_values(str(data), "value")
+
+    @given(header=st.sampled_from(["", "value", "value,other", " t ,x"]),
+           rows=st.lists(st.one_of(_csv_row, _blank), max_size=25),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
+    def test_csv_matches_per_line_reader(self, tmp_path_factory, header, rows, newline,
+                                         last):
+        lines = ([header] if header else []) + rows
+        data = tmp_path_factory.mktemp("csv") / "obs.csv"
+        data.write_bytes((newline.join(lines) + (newline if last else "")).encode())
+        assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+
+    @given(rows=st.lists(st.one_of(_record, _blank), max_size=25),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_jsonl_matches_per_line_reader(self, tmp_path_factory, rows, newline):
+        data = tmp_path_factory.mktemp("jsonl") / "obs.jsonl"
+        data.write_bytes(newline.join(['{"value": 0.5}', *rows]).encode())
+        assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+
+    def test_int_and_float_fields(self, tmp_path):
+        data = tmp_path / "obs.jsonl"
+        data.write_text('{"t": 0, "value": 2}\n{"t": 1, "value": -0.25}\n'
+                        '{"value": 12345678901234567890}\n')
+        got = cli._read_values(str(data), "value")
+        np.testing.assert_array_equal(got, [2.0, -0.25, 12345678901234567890.0])
+        assert got.tobytes() == read_values_per_line(data, "value").tobytes()
+
 
 class TestFigures:
     def test_figure1_columns_grow_linearly(self, capsys):

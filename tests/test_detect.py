@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cusumkit import detect, models
 from cusumkit.errors import UnsupportedValue
 
-from _oracles import brute_max_increment_span
+from _oracles import brute_max_increment_span, monitor_step_max
 
 
 class TestLlrIncrements:
@@ -131,6 +133,14 @@ class TestScanOffline:
         with pytest.raises(ValueError):
             detect.scan_offline([1.0], h=0.0)
 
+    def test_overflow_to_inf(self):
+        # the scan keeps W = +inf in its path; it never alarms and resets
+        with np.errstate(over="ignore"):
+            rep = detect.scan_offline([1e308, 1e308, -1.0], h=1.0)
+        assert rep.path.tolist() == [0.0, 1e308, math.inf, math.inf]
+        assert rep.statistic_max == rep.statistic_final == math.inf
+        assert rep.detected and rep.change_interval == (0, 2)
+
 
 class TestMonitor:
     def test_reflection_at_zero(self):
@@ -173,3 +183,76 @@ class TestMonitor:
                 alarms.append(alarm)
         assert [t for t, _ in alarms] == [1, 3, 4]
         assert state.alarms == tuple(alarms)
+
+
+# increments with exact zeros of both signs, NaN, values that cancel, and a
+# range wide enough that small thresholds alarm often and large ones never
+_increment = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+)
+_threshold = st.one_of(
+    st.sampled_from([1e-9, 0.5, 1.0, 3.0, 1e300, math.inf]),
+    st.floats(1e-6, 1e4),
+)
+
+
+def _split(ys, cuts):
+    edges = sorted({min(c, len(ys)) for c in cuts} | {0, len(ys)})
+    return [ys[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestMonitorRun:
+    @given(ys=st.lists(_increment, max_size=60), h=_threshold,
+           cuts=st.lists(st.integers(0, 60), max_size=6),
+           w0=st.sampled_from([0.0, -0.0, 0.25]))
+    def test_batches_equal_step_fold_bit_for_bit(self, ys, h, cuts, w0):
+        start = detect.CusumState(w=w0, t=5, running_max=w0, alarms=((2, 9.0),))
+        # the step fold, and the max-form reference on plain values
+        state, steps, step_path = start, [], []
+        ref = (w0, 5, w0, ((2, 9.0),))
+        for y in ys:
+            state, alarm = detect.monitor_step(state, y, h)
+            ref, ref_alarm = monitor_step_max(*ref, y, h)
+            assert repr(alarm) == repr(ref_alarm)
+            if alarm is not None:
+                steps.append(alarm)
+            step_path.append(state.w)
+        assert repr((state.w, state.t, state.running_max, state.alarms)) == repr(ref)
+        # any split into batches gives the same state, alarms and path
+        batched, alarms, path = start, [], []
+        for batch in _split(ys, cuts):
+            batched, new, part = detect.monitor_run(batched, np.array(batch), h)
+            alarms += new
+            path += part
+        assert repr(batched) == repr(state)
+        assert repr(alarms) == repr(steps)
+        assert repr(path) == repr(step_path)
+
+    @given(ys=st.lists(_increment, max_size=80))
+    def test_scan_path_is_fold_at_infinite_h(self, ys):
+        _, alarms, path = detect.monitor_run(detect.CusumState(), ys)
+        assert alarms == []
+        rep = detect.scan_offline(ys, h=1e300)
+        assert rep.path.tobytes() == np.array([0.0, *path]).tobytes()
+
+    def test_empty_batch_keeps_state(self):
+        state = detect.CusumState(w=1.5, t=7, running_max=2.0, alarms=((3, 2.0),))
+        again, alarms, path = detect.monitor_run(state, [], h=1.0)
+        assert again == state and alarms == [] and path == []
+
+    def test_path_records_post_reset_value(self):
+        _, alarms, path = detect.monitor_run(detect.CusumState(), [1.0, 1.0, -3.0, 2.0],
+                                             h=1.5)
+        assert alarms == [(2, 2.0), (4, 2.0)]
+        assert path == [1.0, 0.0, 0.0, 0.0]
+
+    def test_many_alarms_in_one_batch(self):
+        k = 20_000
+        start = detect.CusumState(alarms=((1, 4.0),), t=1, running_max=4.0)
+        ys = np.full(2 * k, 0.75)  # every second step reaches h
+        state, alarms, _ = detect.monitor_run(start, ys, h=1.5)
+        assert len(alarms) == k and len(state.alarms) == k + 1
+        assert state.alarms[0] == (1, 4.0)
+        assert alarms[-1] == state.alarms[-1] == (1 + 2 * k, 1.5)
+        assert (state.t, state.w) == (1 + 2 * k, 0.0)
