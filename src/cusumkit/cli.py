@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,15 +35,34 @@ _SEED_ENV = "CUSUMKIT_SEED"
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_FIELD = {"json": "%.17g", "csv": "%.12g"}
+
+
+class Table:
+    """Rows held as columns: arrays or sequences, all of one length.
+
+    JSON writes a table as a list of rows and CSV as one line per row, both
+    through ``_rows``.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    @classmethod
+    def of_rows(cls, rows, width: int) -> "Table":
+        return cls(*(list(zip(*rows)) or [()] * width))
 
 
 def _json_fragment(obj) -> str:
-    """JSON with floats printed at 17 significant digits."""
-    if isinstance(obj, (float, np.floating)):  # first: paths and tables hold most
+    """JSON with floats printed at 17 significant digits; Tables, lists and
+    arrays are written by ``_rows``."""
+    if isinstance(obj, (float, np.floating)):
         text = format(float(obj), ".17g")
         return _NON_FINITE.get(text, text)
+    if isinstance(obj, Table):
+        return "[" + _rows(obj.columns, "json") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(map(_json_fragment, obj)) + "]"
+        return "[" + _rows((obj,), "json", nested=False) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -67,32 +89,87 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _kind(cells: list) -> type | None:
+    """int or float when every cell is one (bool is neither), else None."""
+    types = set(map(type, cells))
+    if all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        return int
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return float
+    return None
+
+
+def _column(values, fmt: str) -> tuple[str, list]:
+    """The %-field that writes one column in ``fmt``, and its cells.
+
+    Ints take %d, and floats %.17g in JSON or %.12g in CSV: the formatter
+    of ``format(x, ".17g")``, so the bytes are those of the scalar writers.
+    Other cells, and the floats of a JSON column holding nan or inf (which
+    JSON spells NaN and Infinity), are rendered one at a time by the scalar
+    writer and take %s.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
+        kind = float if values.dtype.kind == "f" else int
+        cells = values.tolist()
+        finite = kind is int or bool(np.isfinite(values).all())
+    else:
+        cells = list(values)
+        kind = _kind(cells)
+        finite = kind is float and all(map(math.isfinite, cells))
+    if kind is int:
+        return "%d", cells
+    if kind is float and (finite or fmt == "csv"):
+        return _FLOAT_FIELD[fmt], cells
+    render = _json_fragment if fmt == "json" else _csv_cell
+    return "%s", [render(v) for v in cells]
+
+
+def _rows(columns, fmt: str, nested: bool = True) -> str:
+    """Every row of ``columns`` written by one %-template: JSON rows as
+    ``[a,b],[c,d]`` (``a,c`` when not ``nested``), CSV rows as lines."""
+    fields, cells = zip(*(_column(c, fmt) for c in columns))
+    width, height = len(cells), len(cells[0])
+    if width == 1:
+        flat = cells[0]
+    else:
+        flat = [None] * (width * height)
+        for j, col in enumerate(cells):
+            flat[j::width] = col  # raises unless every column has `height` cells
+    row = ",".join(fields)
+    if fmt == "csv":
+        template = (row + "\n") * height
+    else:
+        template = ",".join([f"[{row}]" if nested else row] * height)
+    return template % tuple(flat)
+
+
 def _config_of(args: argparse.Namespace) -> dict:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _emit(args, result, csv_header=None, csv_rows=None) -> None:
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
-        config = _config_of(args)
-        if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "config": config,
-                "result": result,
-            }
-            out.write(_json_fragment(payload) + "\n")
-        else:
-            if csv_header is None:
-                raise CusumkitError("this subcommand has no CSV form")
-            out.write("# config: " + json.dumps(config, default=str) + "\n")
-            out.write(",".join(csv_header) + "\n")
-            for row in csv_rows:
-                out.write(",".join(_csv_cell(v) for v in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    """Write ``result`` (JSON) or the ``csv_rows`` Table (CSV) to
+    ``args.output``.  The whole text is built before the file is opened, so
+    a failure leaves an existing file as it was."""
+    config = _config_of(args)
+    if args.format == "json":
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "config": config,
+            "result": result,
+        }
+        text = _json_fragment(payload) + "\n"
+    else:
+        if csv_header is None:
+            raise CusumkitError("this subcommand has no CSV form")
+        text = ("# config: " + json.dumps(config, default=str) + "\n"
+                + ",".join(csv_header) + "\n" + _rows(csv_rows.columns, "csv"))
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w") as out:
+            out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +180,12 @@ def _emit(args, result, csv_header=None, csv_rows=None) -> None:
 def _cmd_moments(args) -> None:
     model = models.parse_model(args.model)
     table = moments.moment_table(model, args.n)
-    ns = list(range(args.n + 1))
     result = {
         "means": table.means,
         "variances": table.variances,
         "variance_recursion_gap": table.recursion_gap,
     }
-    rows = zip(ns, table.means, table.variances)
+    rows = Table(np.arange(args.n + 1), table.means, table.variances)
     _emit(args, result, ["n", "mean", "variance"], rows)
 
 
@@ -125,7 +201,7 @@ def _cmd_mgf(args) -> None:
     else:
         series = moments.cusum_mgf_recursive(model, lam, args.n)
     result = {"lambda": lam, "values": series.values}
-    rows = zip(range(args.n + 1), series.values)
+    rows = Table(np.arange(args.n + 1), series.values)
     _emit(args, result, ["n", "value"], rows)
 
 
@@ -157,7 +233,8 @@ def _cmd_threshold(args) -> None:
         parallel_streams=args.parallel,
     )
     delta = model.delta if isinstance(model, models.NormalLLR) else None
-    _emit(args, report, _THRESHOLD_HEADER, [_threshold_row(report, delta)])
+    rows = Table.of_rows([_threshold_row(report, delta)], len(_THRESHOLD_HEADER))
+    _emit(args, report, _THRESHOLD_HEADER, rows)
 
 
 def _cmd_simulate(args) -> None:
@@ -176,15 +253,15 @@ def _cmd_simulate(args) -> None:
         "exp_moment_stderr": res.exp_moment_stderr,
     }
     if args.emit_reps:
-        rows = zip(range(args.reps), res.w_final, res.w_max)
+        rows = Table(np.arange(args.reps), res.w_final, res.w_max)
         _emit(args, result, ["rep", "w_n", "max_w"], rows)
     else:
         _emit(
             args,
             result,
             ["mean", "variance", "mean_stderr", "exp_moment", "exp_moment_stderr"],
-            [[res.mean, res.variance, res.mean_stderr, res.exp_moment,
-              res.exp_moment_stderr]],
+            Table.of_rows([[res.mean, res.variance, res.mean_stderr, res.exp_moment,
+                            res.exp_moment_stderr]], 5),
         )
 
 
@@ -195,7 +272,7 @@ def _cmd_regimes(args) -> None:
         args,
         reg,
         ["kind", "lambda", "lambda_star", "omega", "growth"],
-        [[reg.kind, reg.lam, reg.lam_star, reg.omega, reg.growth]],
+        Table.of_rows([[reg.kind, reg.lam, reg.lam_star, reg.omega, reg.growth]], 5),
     )
 
 
@@ -205,7 +282,7 @@ def _cmd_queue_bound(args) -> None:
     lam_star = models.cached_lambda_star(model)
     result = {"bound": bound, "lambda_star": lam_star}
     _emit(args, result, ["n", "h", "bound", "lambda_star"],
-          [[args.n, args.h, bound, lam_star]])
+          Table.of_rows([[args.n, args.h, bound, lam_star]], 4))
 
 
 # -- detection ---------------------------------------------------------------
@@ -248,9 +325,9 @@ def _read_values(path: str, field: str) -> np.ndarray:
     """One value per non-blank line: the first comma field of a CSV row
     (after an optional header row), or ``field`` of a JSONL record.
 
-    CSV lines are parsed in bulk; when that fails, or yields a nan or inf,
-    the per-line pass (``_parse_lines``) raises the error naming the line.
-    JSONL records are decoded one line at a time by that pass.
+    Both formats are first read in bulk; when that fails, or yields a nan or
+    inf, the per-line pass (``_parse_lines``) raises the error naming the
+    line.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -258,16 +335,18 @@ def _read_values(path: str, field: str) -> np.ndarray:
         with open(path) as fh:
             text = fh.read()
     lines = text.splitlines()
-    first = next((ln for ln in lines if ln.strip()), None)
-    if first is None:
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         return np.empty(0)
-    jsonl = first.lstrip().startswith("{")
-    if not jsonl:
-        vals = _csv_bulk([ln for ln in lines if ln.strip()], "," in text)
-        if vals is not None:
-            out = np.array(vals)
-            if np.isfinite(out).all():
-                return out
+    jsonl = lines[start].lstrip().startswith("{")
+    if jsonl:
+        vals = _jsonl_bulk(lines, field)
+    else:
+        vals = _csv_bulk(lines, start, "," in text)
+    if vals is not None:
+        out = np.array(vals)
+        if np.isfinite(out).all():
+            return out
     return _parse_lines(lines, field, jsonl)
 
 
@@ -279,14 +358,40 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _csv_bulk(lines: list[str], commas: bool) -> list[float] | None:
-    cells = lines[1:] if _is_header(lines[0]) else lines
-    if commas:
-        cells = [ln.split(",", 1)[0] for ln in cells]
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return None
+def _csv_bulk(lines: list[str], start: int, commas: bool) -> list[float] | None:
+    """The first fields of the rows after line ``start`` (the first non-blank
+    one), or after a header there.  Blank lines are filtered out only when a
+    pass over every line fails."""
+    skip = start + _is_header(lines[start])
+    for drop_blank in (False, True):
+        cells = itertools.islice(lines, skip, None)
+        if drop_blank:
+            cells = filter(str.strip, cells)
+        if commas:
+            cells = [ln.split(",", 1)[0] for ln in cells]
+        try:
+            return list(map(float, cells))
+        except ValueError:
+            pass
+    return None
+
+
+def _jsonl_bulk(lines: list[str], field: str) -> list[float] | None:
+    """``field`` of every line, one C scanner call each; None for any line
+    that is not exactly one object holding a float there (blank lines and
+    surrounding whitespace included), which ``_parse_lines`` then names."""
+    scan = _JSONL.scan_once
+    vals = []
+    for ln in lines:
+        try:
+            record, end = scan(ln, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        value = record.get(field) if type(record) is dict else None
+        if end != len(ln) or type(value) is not float:
+            return None
+        vals.append(value)
+    return vals
 
 
 def _parse_lines(lines: list[str], field: str, jsonl: bool) -> np.ndarray:
@@ -368,11 +473,11 @@ def _cmd_detect(args) -> None:
             "t": state.t,
             "w": state.w,
             "running_max": state.running_max,
-            "new_alarms": new_alarms,
-            "all_alarms": list(state.alarms),
+            "new_alarms": Table.of_rows(new_alarms, 2),
+            "all_alarms": Table.of_rows(state.alarms, 2),
         }
         if args.emit_path or args.format == "csv":
-            rows = list(zip(range(t0 + 1, state.t + 1), path))
+            rows = Table(np.arange(t0 + 1, state.t + 1), np.array(path))
     else:
         report = detect.scan_offline(increments, h)
         statistic = (
@@ -391,7 +496,7 @@ def _cmd_detect(args) -> None:
             "change_interval": report.change_interval if detected else None,
         }
         if args.emit_path or args.format == "csv":
-            rows = list(enumerate(report.path.tolist()))
+            rows = Table(np.arange(n + 1), report.path)
     if args.emit_path:
         result["path"] = rows
     _emit(args, result, ["t", "w"], rows)
@@ -413,7 +518,7 @@ def _cmd_figures(args) -> None:
             moments.cusum_mgf_recursive(models.NormalLLR(d), 1.0, args.n).values
             for d in deltas
         ]
-        rows = [[n] + [c[n] for c in cols] for n in range(args.n + 1)]
+        rows = Table(np.arange(args.n + 1), *cols)
     elif args.which == 2:
         deltas = deltas or [0.1, 0.5, 1.0, 2.0, 5.0]
         header = ["n"]
@@ -422,14 +527,14 @@ def _cmd_figures(args) -> None:
             table = moments.moment_table(models.NormalLLR(d), args.n)
             header += [f"mean_delta_{d:g}", f"var_delta_{d:g}"]
             cols += [table.means, table.variances]
-        rows = [[n] + [c[n] for c in cols] for n in range(args.n + 1)]
+        rows = Table(np.arange(args.n + 1), *cols)
     elif args.which == 3:
         model = models.NormalLLR(args.delta)
         header = ["n", "subcritical", "critical", "supercritical"]
         sub = moments.cusum_mgf_recursive(model, 0.999, args.n).values
         crit = moments.cusum_mgf_recursive(model, 1.0, args.n).values
         sup = moments.cusum_mgf_recursive(model, 1.001, args.n).values
-        rows = [[n, sub[n], crit[n], sup[n]] for n in range(args.n + 1)]
+        rows = Table(np.arange(args.n + 1), sub, crit, sup)
     elif args.which == 4:
         deltas = deltas or [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
         ns = [int(v) for v in args.ns.split(",")]
@@ -443,6 +548,7 @@ def _cmd_figures(args) -> None:
                     parallel_streams=args.parallel,
                 )
                 rows.append(_threshold_row(report, d))
+        rows = Table.of_rows(rows, len(header))
     elif args.which == 5:
         deltas = deltas or [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
         reps = args.mc_reps or 20_000
@@ -454,6 +560,7 @@ def _cmd_figures(args) -> None:
                 parallel_streams=args.parallel,
             )
             rows.append([d, args.n, args.alpha, h, se])
+        rows = Table.of_rows(rows, len(header))
     else:
         raise CusumkitError(f"unknown figure {args.which}")
     result = {"columns": header, "rows": rows}
@@ -501,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
@@ -510,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="also estimate M_n at this lambda")
     p.add_argument("--parallel", type=int, default=1)
@@ -560,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", default="50,200,500,1000", help="figure 4 only")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_figures)
@@ -568,10 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()  # read on every call, not when built
         args.func(args)
     except CusumkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: numeric quadrature for normal
 expectations, exhaustive path enumeration for discrete walks, double
-loops for maxima, one ``max`` per monitor step and one parse per data
-line.  The production code must match these, never the other way around.
+loops for maxima, one ``max`` per monitor step, one parse per data
+line and one formatting call per output value.  The production code must
+match these, never the other way around.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -148,3 +150,45 @@ def read_values_per_line(path, field):
         if not math.isfinite(v):
             raise CusumkitError(f"line {i}: non-finite value {v:g}")
     return np.asarray(vals, dtype=float)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_fragment(obj) -> str:
+    """The per-value JSON writer: floats at 17 significant digits, one
+    recursive call per list element."""
+    if isinstance(obj, (float, np.floating)):  # first: paths and tables hold most
+        text = format(float(obj), ".17g")
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(json_fragment, obj)) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ",".join(
+            f"{json.dumps(str(k))}:{json_fragment(v)}" for k, v in obj.items()
+        )
+        return "{" + inner + "}"
+    if dataclasses.is_dataclass(obj):
+        return json_fragment(dataclasses.asdict(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".12g")
+    return str(v)
+
+
+def csv_rows(rows) -> str:
+    """CSV rows written one cell at a time, one line each."""
+    return "".join(",".join(csv_cell(v) for v in row) + "\n" for row in rows)

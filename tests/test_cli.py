@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from cusumkit import cli, models, moments
 from cusumkit.errors import CusumkitError
 
-from _oracles import read_values_per_line
+from _oracles import csv_rows, json_fragment, read_values_per_line
 
 
 def run(capsys, *argv):
@@ -77,6 +79,22 @@ class TestPlumbing:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["result"]["kind"] == "subcritical"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_leaves_output_file(self, capsys, tmp_path, monkeypatch, fmt):
+        target = tmp_path / "out.txt"
+        target.write_text("earlier output\n")
+
+        def fail(*args, **kwargs):
+            raise ValueError("cannot write the table")
+
+        monkeypatch.setattr(cli, "_rows", fail)
+        code, out, err = run(capsys, "mgf", "--model", "normal-llr:delta=1",
+                             "--lambda", "1", "--n", "5", "--format", fmt,
+                             "--output", str(target))
+        assert code == 1 and out == ""
+        assert "cannot write the table" in err
+        assert target.read_text() == "earlier output\n"
+
 
 class TestNumericPayloads:
     def test_mgf_matches_module(self, capsys):
@@ -100,12 +118,16 @@ class TestNumericPayloads:
         assert first == second
 
     def test_seed_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUSUMKIT_SEED", "123")
-        parser = cli.build_parser()
-        args = parser.parse_args(["simulate", "--model", "normal-llr:delta=1",
-                                  "--n", "5", "--reps", "10"])
-        # parser defaults are bound at build time, so rebuild under the env
-        assert args.seed == 123
+        # the parser is built once per process; the env is read on every call
+        argv = ["simulate", "--model", "normal-llr:delta=1", "--n", "5",
+                "--reps", "10"]
+        for seed in ("123", "7"):
+            monkeypatch.setenv("CUSUMKIT_SEED", seed)
+            code, out, _ = run(capsys, *argv)
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["config"]["seed"] == int(seed)
+            assert payload["result"]["seed"] == int(seed)
 
 
 class TestDetectSubcommand:
@@ -348,6 +370,18 @@ class TestReadValues:
         with pytest.raises(CusumkitError, match="^line 1: "):
             cli._read_values(str(data), "value")
 
+    @pytest.mark.parametrize("text", [
+        '{"value": 1}\n{"value": 2} x\n',
+        '{"value": 1}\n{"value": 2}, {"value": 3}\n',
+        '{"value": 1}\n{"value": 2}{"value": 3}\n',
+    ], ids=["word", "second-record", "adjacent-record"])
+    def test_data_after_record_refused(self, tmp_path, text):
+        data = tmp_path / "obs.jsonl"
+        data.write_text(text)
+        assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+        with pytest.raises(CusumkitError, match="^line 2: Extra data"):
+            cli._read_values(str(data), "value")
+
     @given(header=st.sampled_from(["", "value", "value,other", " t ,x"]),
            rows=st.lists(st.one_of(_csv_row, _blank), max_size=25),
            newline=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
@@ -391,3 +425,99 @@ class TestFigures:
         assert code == 0
         assert lines[1].split(",")[0] == "delta"
         assert len(lines) == 3
+
+
+_special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                            1e16, 1e308, -1e308, math.nan, -math.nan, math.inf,
+                            -math.inf])
+_float = st.one_of(st.floats(), _special)
+_object = st.one_of(_float, st.integers(-10**20, 10**20), st.none(), st.booleans(),
+                    st.sampled_from(["inf", "nan", "a,b", 'q"uote', "%d"]))
+
+
+def _columns(height):
+    def cells(elements):
+        return st.lists(elements, min_size=height, max_size=height)
+
+    return st.one_of(
+        cells(_float).map(lambda v: np.array(v, dtype=float)),
+        cells(st.integers(-2**63, 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        cells(_float),
+        cells(st.integers(-10**30, 10**30)),
+        cells(_object),
+        cells(st.one_of(_float, st.none())),
+    )
+
+
+@st.composite
+def _tables(draw):
+    height = draw(st.integers(0, 6))
+    return [draw(_columns(height)) for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestTableWriter:
+    """The table writer gives the bytes of the per-value reference writers."""
+
+    @given(columns=_tables())
+    def test_matches_reference(self, columns):
+        rows = [list(row) for row in zip(*columns)]
+        assert cli._json_fragment(cli.Table(*columns)) == json_fragment(rows)
+        assert cli._rows(columns, "csv") == csv_rows(rows)
+        assert cli._json_fragment(columns[0]) == json_fragment(columns[0])
+        assert cli._json_fragment({"t": cli.Table.of_rows(rows, len(columns))}) == (
+            json_fragment({"t": rows}))
+
+    def test_rows_of_unequal_length_refused(self):
+        with pytest.raises(ValueError):
+            cli._rows((np.arange(3), np.zeros(2)), "json")
+
+
+def _detect_data() -> str:
+    # exact binary fractions, so the input bytes need no libm
+    values = [((i * 7919) % 1001) / 512 - 1.0 + (1.5 if 1200 <= i < 1300 else 0.0)
+              for i in range(2000)]
+    return "value\n" + "\n".join(map(repr, values)) + "\n"
+
+
+_DETECT = ["detect", "--theta0", "0", "--theta1", "1", "--input", "-", "--emit-path"]
+
+
+class TestGoldenOutput:
+    """Standard output is byte-identical to the per-value writer's.
+
+    Digests were recorded with the per-value writer (tests/_oracles.py's
+    json_fragment and csv_cell), numpy 2.4.6 and scipy 1.17.1; the detect
+    data come on standard input, so the echoed configuration holds no path.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["figures", "--which", "1", "--n", "200"], "ca00ee1c55cdf8a5ed7e446e159cd8b9ee3e9fc3c0a5b903c2ec0a1dbd46aa70"),
+        (["figures", "--which", "2", "--n", "200"], "30c1491f74512cff8ff4d42c9a9001f105d1f0f5db132c83f5d7f138ef5ac5f5"),
+        (["figures", "--which", "3", "--n", "200"], "b17219252bc720395c3147d65637530dd2cc2486998d1ed2edf38cb310d1bfb5"),
+        (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "f1b29c5dd214712616dd7c3bdd603c4aab6f3898701aab4869102233b8861ecc"),
+        (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
+          "--method", "matrix"], "794be847f64fc97986015fcdc0f9c2ee5479c31db563117bea2c1dad6f76743a"),
+        (_DETECT, "a37af0e13c008188b85c6bf15c280ffff4ae0869a20dcbd2c062df3397be0f13"),
+        (_DETECT + ["--mode", "monitor", "--threshold-variant", "custom", "--h", "3"], "f994076aa07cef0a3b386f5021dc5a8929b06aa67f088e92e190fba6a7ff3680"),
+        (["figures", "--which", "1", "--n", "200", "--format", "csv"], "0b3ca73be2404669c9ccbd1a92094278d40e1da30e4770a58b902d1cb0ad36c2"),
+        (["figures", "--which", "2", "--n", "200", "--format", "csv"], "3b492f797ac4371fd564a0c9f14c91cdcc715620c9b9a43ef06552c36da16884"),
+        (["figures", "--which", "3", "--n", "200", "--format", "csv"], "a5bebff191cc04532457646722ae8f8d90b924588e42d740dc9827bd14d6942c"),
+        (["moments", "--model", "normal-llr:delta=0.5", "--n", "200", "--format", "csv"],
+         "046a5646301ea63d4895e2ebe5502a45455f0f1d8691f5c936d08ce702534b96"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200",
+          "--format", "csv"], "ab9eb15d1d5a2484483e0fab3bd39b654d16fe3733a4ca2a4ec33512b54d9f09"),
+        (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
+          "--method", "matrix", "--format", "csv"], "3620ee7aead2459534bcbef15f88602676ded128801972002507271a456cd09b"),
+        (_DETECT + ["--format", "csv"], "bd3c44ec0a1d29b63851c4b479e1c3bd3befe255485ae40b82bde518db6cdc88"),
+        (_DETECT + ["--mode", "monitor", "--threshold-variant", "custom", "--h", "3",
+                    "--format", "csv"], "cbc737604b0d1fb2cab100ba4822a09a82a7039cb8f938bfd752f111fa68c4df"),
+    ], ids=["fig1", "fig2", "fig3", "moments", "mgf-recursive", "mgf-matrix",
+            "detect-scan", "detect-monitor", "fig1-csv", "fig2-csv", "fig3-csv",
+            "moments-csv", "mgf-recursive-csv", "mgf-matrix-csv", "detect-scan-csv",
+            "detect-monitor-csv"])
+    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_detect_data()))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
