@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidAlpha, NotSupportedModel, UnstableQueue
 from .models import IncrementModel, NormalLLR, cached_lambda_star
 from .moments import cusum_mgf_recursive
-from .special import norm_cdf, norm_ppf
 
 __all__ = [
     "Regime",
@@ -62,6 +62,8 @@ def scaled_discrepancy(model: IncrementModel) -> float:
 
 def exp_moment_upper(model: IncrementModel, n: int) -> float:
     """Upper bound 1 + n E(1 - exp(lambda* Y))+ on M_n(lambda*)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return 1.0 + n * scaled_discrepancy(model)
 
 
@@ -87,12 +89,14 @@ def max_tail_lower(model: IncrementModel, n: int, h: float, k: int) -> float:
         raise ValueError(f"segment length k must lie in [1, n], got {k}")
     delta = model.delta
     z = (h + k * delta**2 / 2.0) / (delta * math.sqrt(k))
-    return 1.0 - float(norm_cdf(z)) ** (n // k)
+    return 1.0 - float(ndtr(z)) ** (n // k)
 
 
 def threshold_ub(model: IncrementModel, n: int, alpha: float, variant: str) -> float:
     """The named upper-bound threshold; crossing it has probability <= alpha."""
     _check_alpha(alpha)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if variant not in _UB_VARIANTS:
         raise ValueError(f"unknown upper variant {variant!r}")
     lam_star = cached_lambda_star(model)
@@ -121,7 +125,7 @@ def _segment_lower_bound(delta: float, n: int, alpha: float, k: int) -> float:
     if segments < 1:
         return -math.inf
     q = (1.0 - alpha) ** (1.0 / segments)
-    return delta * math.sqrt(k) * float(norm_ppf(q)) - k * delta**2 / 2.0
+    return delta * math.sqrt(k) * float(ndtri(q)) - k * delta**2 / 2.0
 
 
 def _fixed_point_k(delta: float, n: int) -> float:
@@ -138,6 +142,8 @@ def _fixed_point_k(delta: float, n: int) -> float:
 
 def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoundDetail:
     _check_alpha(alpha)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(model, NormalLLR):
         raise NotSupportedModel(
             "lower-bound closed forms are normal-specific; got "

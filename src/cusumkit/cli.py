@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -325,9 +324,9 @@ def _read_values(path: str, field: str) -> np.ndarray:
     """One value per non-blank line: the first comma field of a CSV row
     (after an optional header row), or ``field`` of a JSONL record.
 
-    Both formats are first read in bulk; when that fails, or yields a nan or
-    inf, the per-line pass (``_parse_lines``) raises the error naming the
-    line.
+    One pass per format; blank lines are skipped.  The first line that does
+    not parse is named in a ``CusumkitError``; then the line of the first
+    nan or inf value is.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -338,91 +337,67 @@ def _read_values(path: str, field: str) -> np.ndarray:
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
         return np.empty(0)
-    jsonl = lines[start].lstrip().startswith("{")
-    if jsonl:
-        vals = _jsonl_bulk(lines, field)
+    if lines[start].lstrip().startswith("{"):
+        first, out = 1, _read_jsonl(lines, field)
     else:
-        vals = _csv_bulk(lines, start, "," in text)
-    if vals is not None:
-        out = np.array(vals)
-        if np.isfinite(out).all():
-            return out
-    return _parse_lines(lines, field, jsonl)
-
-
-def _is_header(line: str) -> bool:
-    try:
-        float(line.split(",")[0])
-    except ValueError:
-        return True
-    return False
-
-
-def _csv_bulk(lines: list[str], start: int, commas: bool) -> list[float] | None:
-    """The first fields of the rows after line ``start`` (the first non-blank
-    one), or after a header there.  Blank lines are filtered out only when a
-    pass over every line fails."""
-    skip = start + _is_header(lines[start])
-    for drop_blank in (False, True):
-        cells = itertools.islice(lines, skip, None)
-        if drop_blank:
-            cells = filter(str.strip, cells)
-        if commas:
-            cells = [ln.split(",", 1)[0] for ln in cells]
         try:
-            return list(map(float, cells))
+            float(lines[start].split(",")[0])
         except ValueError:
-            pass
-    return None
+            start += 1  # a header row
+        del lines[:start]
+        first, out = start + 1, _read_csv(lines, start + 1, "," in text)
+    if not np.isfinite(out).all():
+        k = np.flatnonzero(~np.isfinite(out))[0]
+        line = [i for i, ln in enumerate(lines, first) if ln.strip()][k]
+        raise CusumkitError(f"line {line}: non-finite value {out[k]:g}")
+    return out
 
 
-def _jsonl_bulk(lines: list[str], field: str) -> list[float] | None:
-    """``field`` of every line, one C scanner call each; None for any line
-    that is not exactly one object holding a float there (blank lines and
-    surrounding whitespace included), which ``_parse_lines`` then names."""
-    scan = _JSONL.scan_once
-    vals = []
-    for ln in lines:
-        try:
-            record, end = scan(ln, 0)
-        except (StopIteration, ValueError, RecursionError):
-            return None
-        value = record.get(field) if type(record) is dict else None
-        if end != len(ln) or type(value) is not float:
-            return None
-        vals.append(value)
-    return vals
-
-
-def _parse_lines(lines: list[str], field: str, jsonl: bool) -> np.ndarray:
-    """The per-line reader: errors name the line of the file they are on."""
-    rows = [(i, ln) for i, ln in enumerate(lines, 1) if ln.strip()]
-    vals = []
-    if jsonl:
-        decode = _JSONL.decode
-        for i, ln in rows:
-            try:
-                record = decode(ln)
-            except ValueError as exc:
-                raise CusumkitError(f"line {i}: {exc}") from None
-            value = record.get(field) if type(record) is dict else None
-            if type(value) is not float:
-                raise CusumkitError(f"line {i}: missing numeric field {field!r}")
-            vals.append(value)
-    else:
-        if _is_header(rows[0][1]):
-            rows = rows[1:]
-        for i, ln in rows:
+def _read_csv(rows: list[str], first: int, commas: bool) -> np.ndarray:
+    """The first comma fields of ``rows``, which start at line ``first``: one
+    bulk ``float`` pass, then, only if it raises, a per-line pass that skips
+    blank rows and names the first bad one."""
+    cells = [ln.split(",", 1)[0] for ln in rows] if commas else rows
+    try:
+        return np.fromiter(map(float, cells), float)
+    except ValueError:
+        vals = []
+    for i, ln in enumerate(rows, first):
+        if ln.strip():
             cell = ln.split(",")[0].strip()
             try:
                 vals.append(float(cell))
             except ValueError:
                 raise CusumkitError(f"line {i}: non-numeric value {cell!r}") from None
-    out = np.array(vals, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise CusumkitError(f"line {rows[bad[0]][0]}: non-finite value {out[bad[0]]:g}")
-    return out
+    return np.array(vals, dtype=float)
+
+
+def _read_jsonl(lines: list[str], field: str) -> np.ndarray:
+    """``field`` of the record on each non-blank line.  The C scanner reads a
+    line that is exactly one record; any other line is skipped when blank,
+    or else decoded, which supplies the error text for a bad one."""
+    scan, decode = _JSONL.scan_once, _JSONL.decode
+    vals = []
+    blanks = 0
+    for ln in lines:
+        try:
+            record, end = scan(ln, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(ln):
+            if not ln.strip():
+                blanks += 1
+                continue
+            try:
+                record = decode(ln)
+            except (ValueError, RecursionError) as exc:
+                raise CusumkitError(f"line {len(vals) + blanks + 1}: {exc}") from None
+        value = record.get(field) if type(record) is dict else None
+        if type(value) is not float:
+            raise CusumkitError(
+                f"line {len(vals) + blanks + 1}: missing numeric field {field!r}")
+        vals.append(value)
+    return np.array(vals)
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -461,7 +436,10 @@ def _cmd_detect(args) -> None:
         state = detect.CusumState()
         if args.state and os.path.exists(args.state):
             with open(args.state) as fh:
-                state = detect.CusumState.from_json(fh.read())
+                try:
+                    state = detect.CusumState.from_json(fh.read())
+                except CusumkitError as exc:
+                    raise CusumkitError(f"state file {args.state}: {exc}") from None
         t0 = state.t
         state, new_alarms, path = detect.monitor_run(state, increments, h)
         if args.state:
@@ -576,6 +554,24 @@ def _default_seed() -> int:
     return int(os.environ.get(_SEED_ENV, "0"))
 
 
+def _horizon(text: str) -> int:
+    """A --n value, or one --ns entry: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
+def _horizons(text: str) -> str:
+    """A --ns value: comma-separated integers >= 0, echoed as given."""
+    for v in text.split(","):
+        _horizon(v)
+    return text
+
+
 def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default="-", help="output path, - for stdout")
@@ -590,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("moments", help="mean/variance table E_n, V_n")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -598,14 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="a float, or 'star' for the critical exponent")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     p.add_argument("--method", choices=("recursive", "matrix"), default="recursive")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_mgf)
 
     p = subs.add_parser("threshold", help="all threshold variants for a scenario")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mc-reps", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
@@ -615,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo CUSUM paths")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -635,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("queue-bound", help="waiting-time tail bound for G/G/1")
     p.add_argument("--model", required=True,
                    help="increment model: service minus interarrival time")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     p.add_argument("--h", type=float, required=True)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_queue_bound)
@@ -663,8 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4, 5))
     p.add_argument("--deltas", default=None)
     p.add_argument("--delta", type=float, default=1.0, help="figure 3 only")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--ns", default="50,200,500,1000", help="figure 4 only")
+    p.add_argument("--n", type=_horizon, default=2000)
+    p.add_argument("--ns", type=_horizons, default="50,200,500,1000",
+                   help="figure 4 only")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--mc-reps", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)

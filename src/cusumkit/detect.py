@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedValue
+from .errors import CusumkitError, UnsupportedValue
 from .models import DiscreteTable, IncrementModel, NormalLLR
 
 # data are matched to support points by round(x * _KEY_SCALE)
@@ -140,10 +141,10 @@ class DetectionReport:
     statistic_max: float  # max over [0, n] of W_b, the transient statistic
     detected: bool
     change_interval: tuple[int, int] | None  # (a_hat, b_hat], when detected
-    path: np.ndarray | None = field(default=None, repr=False)
+    path: np.ndarray = field(repr=False)  # W_0, ..., W_n
 
 
-def scan_offline(increments, h: float, keep_path: bool = True) -> DetectionReport:
+def scan_offline(increments, h: float) -> DetectionReport:
     """Full CUSUM scan of a batch of increments against threshold h.
 
     Reports both W_n and the running maximum.  When the maximum reaches h,
@@ -178,7 +179,7 @@ def scan_offline(increments, h: float, keep_path: bool = True) -> DetectionRepor
         statistic_max=stat_max,
         detected=detected,
         change_interval=interval,
-        path=w if keep_path else None,
+        path=w,
     )
 
 
@@ -203,13 +204,35 @@ class CusumState:
 
     @classmethod
     def from_json(cls, text: str) -> "CusumState":
-        raw = json.loads(text)
-        return cls(
-            w=float(raw["w"]),
-            t=int(raw["t"]),
-            running_max=float(raw["running_max"]),
-            alarms=tuple((int(t), float(v)) for t, v in raw["alarms"]),
-        )
+        """The state ``to_json`` writes: w and running_max finite numbers >= 0,
+        t an integer >= 0, alarms a list of [integer, finite number] pairs.
+        Anything else raises CusumkitError."""
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise CusumkitError(f"not JSON: {exc}") from None
+        if type(raw) is not dict:
+            raise CusumkitError("not a JSON object")
+        for k in ("w", "t", "running_max", "alarms"):
+            if k not in raw:
+                raise CusumkitError(f"missing field {k!r}")
+        for k in ("w", "running_max"):
+            if not (_finite_number(raw[k]) and raw[k] >= 0):
+                raise CusumkitError(f"{k} must be a finite number >= 0, got {raw[k]!r}")
+        if not (type(raw["t"]) is int and raw["t"] >= 0):
+            raise CusumkitError(f"t must be an integer >= 0, got {raw['t']!r}")
+        alarms = raw["alarms"]
+        if type(alarms) is not list or not all(
+                type(a) is list and len(a) == 2 and type(a[0]) is int
+                and _finite_number(a[1]) for a in alarms):
+            raise CusumkitError("alarms must be a list of [t, w] pairs")
+        return cls(w=float(raw["w"]), t=raw["t"], running_max=float(raw["running_max"]),
+                   alarms=tuple((t, float(v)) for t, v in alarms))
+
+
+def _finite_number(v) -> bool:
+    """A JSON number (not a boolean) that converts to a finite float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def monitor_run(

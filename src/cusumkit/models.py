@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DivergentMoment,
@@ -30,7 +30,6 @@ from .errors import (
     OutOfDomain,
     TooLarge,
 )
-from .special import norm_cdf, norm_pdf
 
 __all__ = [
     "IncrementModel",
@@ -56,6 +55,12 @@ _MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
 # up to exp(600), masses too small for float64 (or pruned below 1e-300)
 # weigh less than 1e-39 each in E exp(lam * S_k+)
 _SAFE_EXPO = 600.0
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _norm_pdf(x):
+    """Standard normal density."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 class IncrementModel:
@@ -85,12 +90,6 @@ class IncrementModel:
     def _mgf_second(self, lam: float) -> float:
         """E[Y^2 exp(lambda*Y)]."""
         raise NotImplementedError
-
-    @property
-    def mgf_domain_sup(self) -> float:
-        """B = sup{lambda : m(lambda) < inf}.  All built-in kinds have
-        normal or bounded support, hence B = inf."""
-        return math.inf
 
     def prob_positive(self) -> float:
         """P(Y > 0)."""
@@ -267,7 +266,7 @@ class _NormalBase(IncrementModel):
         return (self.loc + lam * self.scale**2) * self.mgf(lam)
 
     def prob_positive(self) -> float:
-        return float(norm_cdf(self.loc / self.scale))
+        return float(ndtr(self.loc / self.scale))
 
     def tilt_var(self, lam: float) -> float:
         return self.scale**2
@@ -304,13 +303,13 @@ class _NormalBase(IncrementModel):
             raise DivergentMoment(
                 f"exp moment overflows at lam = {lam:g}, n = {n}"
             )
-        return norm_cdf(-mu / sd) + np.exp(expo) * norm_cdf(mu / sd + lam * sd)
+        return ndtr(-mu / sd) + np.exp(expo) * ndtr(mu / sd + lam * sd)
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         mu, sd = self._sum_params(n)
         z = mu / sd
-        m1 = mu * norm_cdf(z) + sd * norm_pdf(z)
-        m2 = (mu**2 + sd**2) * norm_cdf(z) + mu * sd * norm_pdf(z)
+        m1 = mu * ndtr(z) + sd * _norm_pdf(z)
+        m2 = (mu**2 + sd**2) * ndtr(z) + mu * sd * _norm_pdf(z)
         return m1, m2
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:
@@ -318,7 +317,7 @@ class _NormalBase(IncrementModel):
         z = self.loc / self.scale
         expo = lam * self.loc + 0.5 * (lam * self.scale) ** 2
         return float(
-            norm_cdf(-z) - math.exp(expo) * norm_cdf(-z - lam * self.scale)
+            ndtr(-z) - math.exp(expo) * ndtr(-z - lam * self.scale)
         )
 
 
@@ -352,7 +351,7 @@ class NormalLLR(_NormalBase):
         return 1.0
 
     def tv_discrepancy(self) -> float:
-        return float(2.0 * norm_cdf(0.5 * self.delta) - 1.0)
+        return float(2.0 * ndtr(0.5 * self.delta) - 1.0)
 
     def spec(self) -> str:
         return f"normal-llr:delta={self.delta:.17g}"

@@ -67,6 +67,13 @@ class TestUpperThresholds:
         with pytest.raises(ValueError):
             bounds.threshold_ub(nllr, 10, 0.05, "ub9")
 
+    @pytest.mark.parametrize("variant", ["ub1", "ub2", "ub3"])
+    def test_negative_horizon_refused(self, nllr, variant):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
+            bounds.threshold_ub(nllr, -3, 0.05, variant)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            bounds.exp_moment_upper(nllr, -1)
+
 
 class TestLowerThresholds:
     def test_lb1_dominates_lb2(self, nllr):
@@ -91,6 +98,11 @@ class TestLowerThresholds:
     def test_variant_names(self, nllr):
         with pytest.raises(ValueError):
             bounds.threshold_lb(nllr, 10, 0.05, "lb9")
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_horizon_refused(self, nllr, n):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+            bounds.lower_bound_detail(nllr, n, 0.05)
 
 
 class TestTailLowerEnvelope:

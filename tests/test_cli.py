@@ -96,6 +96,36 @@ class TestPlumbing:
         assert target.read_text() == "earlier output\n"
 
 
+class TestHorizons:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["queue-bound", "--model", "shifted-normal:a=-0.5,sigma=1", "--n", "-4",
+          "--h", "8"], "--n", "-4"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "1", "--n", "-2"],
+         "--n", "-2"),
+        (["threshold", "--model", "normal-llr:delta=1", "--n", "-3", "--alpha", "0.05"],
+         "--n", "-3"),
+        (["figures", "--which", "4", "--ns", "50,-5"], "--ns", "-5"),
+        (["moments", "--model", "normal-llr:delta=1", "--n", "-1"], "--n", "-1"),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "-1", "--reps", "10"],
+         "--n", "-1"),
+        (["figures", "--which", "1", "--n", "-2"], "--n", "-2"),
+    ], ids=["queue-bound", "mgf", "threshold", "figures-ns", "moments", "simulate",
+            "figures-n"])
+    def test_negative_horizon_refused(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: expected an integer >= 0, got '{value}'\n")
+
+    def test_threshold_at_zero_horizon(self, capsys):
+        code, out, err = run(capsys, "threshold", "--model", "normal-llr:delta=1",
+                             "--n", "0", "--alpha", "0.05")
+        assert code == 1 and out == ""
+        assert err == "error: n must be >= 1, got 0\n"
+
+
 class TestNumericPayloads:
     def test_mgf_matches_module(self, capsys):
         _, out, _ = run(capsys, "mgf", "--model", "normal-llr:delta=1",
@@ -261,6 +291,48 @@ class TestDetectSubcommand:
                              "--threshold-variant", "custom", "--h", "1.0")
         assert code == 1 and out == ""
         assert f"line {line}: non-finite" in err
+
+    def test_deeply_nested_record_names_the_line(self, capsys, tmp_path):
+        data = tmp_path / "obs.jsonl"
+        data.write_text('{"value": 1}\n' + "[" * 100_000 + "\n")
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--input", str(data), "--threshold-variant", "custom",
+                             "--h", "1.0")
+        assert code == 1 and out == ""
+        assert err == ("error: CusumkitError: line 2: maximum recursion depth exceeded "
+                       "while decoding a JSON array from a unicode string\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "not a JSON object"),
+        ("{}", "missing field 'w'"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5}', "missing field 'alarms'"),
+        ('{"w": NaN, "t": 2, "running_max": 0.5, "alarms": []}',
+         "w must be a finite number >= 0, got nan"),
+        ('{"w": -0.5, "t": 2, "running_max": 0.5, "alarms": []}',
+         "w must be a finite number >= 0, got -0.5"),
+        ('{"w": 0.5, "t": 2, "running_max": Infinity, "alarms": []}',
+         "running_max must be a finite number >= 0, got inf"),
+        ('{"w": 0.5, "t": -1, "running_max": 0.5, "alarms": []}',
+         "t must be an integer >= 0, got -1"),
+        ('{"w": 0.5, "t": 2.5, "running_max": 0.5, "alarms": []}',
+         "t must be an integer >= 0, got 2.5"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[1]]}',
+         "alarms must be a list of [t, w] pairs"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": 5}',
+         "alarms must be a list of [t, w] pairs"),
+    ], ids=["not-object", "empty-object", "missing-alarms", "nan-w", "negative-w",
+            "infinite-max", "negative-t", "fractional-t", "short-alarm", "alarms-number"])
+    def test_invalid_monitor_state_refused(self, capsys, tmp_path, text, message):
+        state = tmp_path / "state.json"
+        state.write_text(text)
+        data = tmp_path / "a.csv"
+        data.write_text("0.8\n0.9\n")
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--mode", "monitor", "--threshold-variant", "custom",
+                             "--h", "5", "--state", str(state), "--input", str(data))
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: state file {state}: {message}\n"
+        assert state.read_text() == text
 
     @pytest.mark.parametrize("target", ["serialise", "replace"])
     def test_monitor_state_survives_failed_write(self, capsys, tmp_path, monkeypatch,
