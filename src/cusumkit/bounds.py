@@ -69,6 +69,8 @@ def exp_moment_upper(model: IncrementModel, n: int) -> float:
 
 def max_tail_upper(model: IncrementModel, n: int, h: float) -> float:
     """Upper bound on P(max over [0, n] of W_t >= h), clamped at 1."""
+    if math.isnan(h):
+        raise ValueError(f"threshold h must be a number, got {h:g}")
     lam_star = cached_lambda_star(model)
     return min(math.exp(-lam_star * h) * exp_moment_upper(model, n), 1.0)
 
@@ -187,8 +189,8 @@ class Regime:
 
 def regime(model: IncrementModel, lam: float) -> Regime:
     """Classify lambda against lambda* (relative tolerance 1e-12)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    if not lam >= 0.0:
+        raise ValueError(f"lambda must be nonnegative, got {lam:g}")
     lam_star = cached_lambda_star(model)
     if abs(lam - lam_star) <= _CRITICAL_RTOL * lam_star:
         return Regime(kind="critical", lam=lam, lam_star=lam_star)
@@ -256,6 +258,8 @@ def threshold_report(
 ) -> ThresholdReport:
     """Assemble every threshold variant, optionally with an MC quantile."""
     _check_alpha(alpha)
+    if mc_reps < 0:
+        raise ValueError(f"mc_reps must be >= 0, got {mc_reps}")
     ub = {v: threshold_ub(model, n, alpha, v) for v in _UB_VARIANTS}
     lb1 = lb2 = None
     if isinstance(model, NormalLLR):

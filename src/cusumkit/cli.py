@@ -425,6 +425,8 @@ def _cmd_detect(args) -> None:
     if args.threshold_variant == "custom":
         if args.h is None:
             raise CusumkitError("--threshold-variant custom requires --h")
+        if not args.h > 0.0:  # a NaN h would never alarm: refused in both modes
+            raise CusumkitError(f"--h must be positive, got {args.h:g}")
         h = args.h
     else:
         h = bounds.threshold_ub(
@@ -554,21 +556,28 @@ def _default_seed() -> int:
     return int(os.environ.get(_SEED_ENV, "0"))
 
 
-def _horizon(text: str) -> int:
-    """A --n value, or one --ns entry: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
+def _integer_at_least(minimum: int):
+    """An argparse type for integers >= minimum; others exit 2 naming the flag."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = minimum - 1
+        if n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return n
+    return parse
+
+
+_nonnegative = _integer_at_least(0)  # --n, each --ns entry, --mc-reps
+_positive = _integer_at_least(1)  # --reps, --parallel
 
 
 def _horizons(text: str) -> str:
     """A --ns value: comma-separated integers >= 0, echoed as given."""
     for v in text.split(","):
-        _horizon(v)
+        _nonnegative(v)
     return text
 
 
@@ -586,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("moments", help="mean/variance table E_n, V_n")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_horizon, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -594,29 +603,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="a float, or 'star' for the critical exponent")
-    p.add_argument("--n", type=_horizon, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--method", choices=("recursive", "matrix"), default="recursive")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_mgf)
 
     p = subs.add_parser("threshold", help="all threshold variants for a scenario")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_horizon, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mc-reps", type=int, default=0)
+    p.add_argument("--mc-reps", type=_nonnegative, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
 
     p = subs.add_parser("simulate", help="Monte Carlo CUSUM paths")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_horizon, required=True)
-    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
+    p.add_argument("--reps", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="also estimate M_n at this lambda")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive, default=1)
     p.add_argument("--emit-reps", action="store_true",
                    help="CSV rows per replication instead of the summary row")
     _add_output_flags(p)
@@ -631,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("queue-bound", help="waiting-time tail bound for G/G/1")
     p.add_argument("--model", required=True,
                    help="increment model: service minus interarrival time")
-    p.add_argument("--n", type=_horizon, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--h", type=float, required=True)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_queue_bound)
@@ -659,13 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4, 5))
     p.add_argument("--deltas", default=None)
     p.add_argument("--delta", type=float, default=1.0, help="figure 3 only")
-    p.add_argument("--n", type=_horizon, default=2000)
+    p.add_argument("--n", type=_nonnegative, default=2000)
     p.add_argument("--ns", type=_horizons, default="50,200,500,1000",
                    help="figure 4 only")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--mc-reps", type=int, default=0)
+    p.add_argument("--mc-reps", type=_nonnegative, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_figures)
 

@@ -152,8 +152,8 @@ def scan_offline(increments, h: float) -> DetectionReport:
     S_b - S_a, ties broken by smallest b then largest a (the shortest,
     latest maximizing interval).
     """
-    if h <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not h > 0.0:
+        raise ValueError(f"threshold must be positive, got {h:g}")
     y = np.asarray(increments, dtype=float)
     n = y.shape[0]
     # the path is the monitor's fold itself, so folding monitor_step over

@@ -51,6 +51,8 @@ _PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
 # has a lattice near this width, so the value is not tuned.
 _DENSE_MAX_WIDTH = 4096
 _MAX_KEY = 2**63  # int64 keys, and every partial sum of them, stay below this
+# draws per slice of the finite-support inverse CDF
+_QUANTILE_SLICE = 1 << 16
 _MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
 # up to exp(600), masses too small for float64 (or pruned below 1e-300)
 # weigh less than 1e-39 each in E exp(lam * S_k+)
@@ -100,12 +102,16 @@ class IncrementModel:
         """True when Y is a log-likelihood-ratio increment (E exp(Y) = 1)."""
         return False
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF: increments distributed as Y from uniforms u in (0, 1).
 
         The only map from uniforms to increments; Monte Carlo output for a
         seed is fixed by it, so it must stay bit-identical across releases.
-        Returns a new C-contiguous array of the shape of u.
+        Without ``out``, returns a new C-contiguous array of the shape of u.
+        With ``out``, a float64 array of that shape (possibly strided, or u
+        itself), writes the increments into it and returns it; nothing
+        outside ``out`` is written, and the values are those of
+        ``quantile(u)`` bit for bit.
         """
         raise NotImplementedError
 
@@ -271,9 +277,9 @@ class _NormalBase(IncrementModel):
     def tilt_var(self, lam: float) -> float:
         return self.scale**2
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # in place on ndtri's output; same bits as loc + scale * ndtri(u)
-        z = ndtri(u)
+        z = ndtri(u, out=out)
         z *= self.scale
         z += self.loc
         return z
@@ -519,16 +525,32 @@ class _DiscreteBase(IncrementModel):
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Atom index = #{j < k - 1 : cum[j] <= u}, which equals
         # min(searchsorted(cum, u, "right"), k - 1) for any support order;
-        # leaving out cum[-1] covers cum[-1] < 1 from rounding.
-        support = np.asarray(self.support)
+        # leaving out cum[-1] covers cum[-1] < 1 from rounding.  The index
+        # lies in [0, k - 1], so take's "clip" never alters it.  Slices of
+        # rows of about _QUANTILE_SLICE draws keep the small index array,
+        # and take's intp copy of it, in cache; each slice of u is read in
+        # full before the same slice of out is written, so out may be u.
+        u = np.asarray(u)
+        support = np.asarray(self.support, dtype=float)
         cum = np.cumsum(self.probs)[:-1]
-        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(cum)))
-        for c in cum:
-            idx += u >= c
-        return support[idx]
+        if out is None:
+            out = np.empty(u.shape)
+        if u.ndim == 0:  # a scalar goes through as a one-element view
+            self.quantile(u.reshape(1), out=out.reshape(1))
+            return out
+        index_type = np.min_scalar_type(len(cum))
+        rows = len(u)
+        step = max(1, _QUANTILE_SLICE * rows // max(u.size, 1))
+        for lo in range(0, rows, step):
+            part = u[lo : lo + step]
+            idx = np.zeros(part.shape, dtype=index_type)
+            for c in cum:
+                idx += part >= c
+            np.take(support, idx, out=out[lo : lo + step], mode="clip")
+        return out
 
     def rate_domain(self) -> tuple[float, float]:
         # A0 = lim of the tilted mean as lambda -> inf = max(support).

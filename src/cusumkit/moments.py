@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import FormulaMismatch, NoConvergence, TooLarge
+from .errors import DivergentMoment, FormulaMismatch, NoConvergence, TooLarge
 from .models import IncrementModel, cached_lambda_star
 
 __all__ = [
@@ -148,9 +148,15 @@ def moment_table(model: IncrementModel, n: int) -> MomentTable:
     )
 
 
+def _check_lambda(lam: float) -> None:
+    if math.isnan(lam):
+        raise ValueError(f"lambda must be a number, got {lam:g}")
+
+
 def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n by the convolution recursion
     M_{k+1} = (1/(k+1)) sum_{j<=k} M_j x_{k-j+1}."""
+    _check_lambda(lam)
     xs = _x_seq(model, lam, n) if n > 0 else np.empty(0)
     values = convolution_recursion(xs)
     return MgfSeries(lam=lam, horizon=n, values=values)
@@ -159,16 +165,24 @@ def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:
 def cusum_mgf_matrix(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n as the solution of the unit lower-triangular system
     (I - A) M = e, by forward substitution (BLAS trsv); no inverse is formed."""
+    _check_lambda(lam)
     if n == 0:
         return MgfSeries(lam=lam, horizon=0, values=np.ones(1))
     xs = _x_seq(model, lam, n)
+    if not np.isfinite(xs).all():
+        raise DivergentMoment(
+            f"E exp(lam * S_k+) is not finite at lam = {lam:g} for some k <= {n}"
+        )
     size = n + 1
     system = np.eye(size)
+    neg_rev_x = -xs[::-1]
     for i in range(1, size):
-        system[i, :i] = -xs[i - 1 :: -1] / i
+        # row i holds -x_i/i, ..., -x_1/i: the last i entries of neg_rev_x
+        np.divide(neg_rev_x[n - i :], i, out=system[i, :i])
     rhs = np.zeros(size)
     rhs[0] = 1.0
-    values = solve_triangular(system, rhs, lower=True)
+    # every entry is finite (checked on xs above), so skip scipy's scan
+    values = solve_triangular(system, rhs, lower=True, check_finite=False)
     return MgfSeries(lam=lam, horizon=n, values=values)
 
 

@@ -53,6 +53,8 @@ class SimConfig:
             raise ValueError("reps must be >= 1")
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if self.parallel_streams < 1:
+            raise ValueError("parallel_streams must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,9 @@ class SimResult:
 def _increments_chunk(
     model: IncrementModel, seed: int, first_rep: int, reps: int, n: int
 ) -> np.ndarray:
-    return model.quantile(rng.uniform_block(seed, first_rep, reps, n))
+    # the increments overwrite the uniforms: one float64 array per chunk
+    u = rng.uniform_block(seed, first_rep, reps, n)
+    return model.quantile(u, out=u)
 
 
 def lindley_block(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,9 +85,9 @@ def lindley_block(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the terminal value W_n and the running maximum per path.  This
     is the last stage of the chunk pipeline: Philox uniforms
-    (rng.uniform_block), then the model's inverse CDF
-    (IncrementModel.quantile), then this fold, on chunks of about one
-    million elements so each stage's output is still in cache for the
+    (rng.uniform_block), then the model's inverse CDF written over them
+    (IncrementModel.quantile with out=), then this fold, on chunks of about
+    one million elements so each stage's output is still in cache for the
     next.  The fold keeps the rep-major layout and updates its two per-path
     accumulators in place, one column per step.
     """
@@ -341,7 +345,7 @@ def stopping_stats(
         done = False
         while not done and steps < max_steps:
             u = gen.random(block)
-            y = model.quantile(np.maximum(u, rng.MIN_UNIFORM, out=u))
+            y = model.quantile(np.maximum(u, rng.MIN_UNIFORM, out=u), out=u)
             for inc in y:
                 steps += 1
                 w = max(w + inc, 0.0)

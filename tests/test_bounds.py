@@ -140,6 +140,10 @@ class TestRegimes:
         with pytest.raises(ValueError):
             bounds.regime(nllr, -0.1)
 
+    def test_nan_lambda_rejected(self, nllr):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            bounds.regime(nllr, math.nan)
+
 
 class TestStoppedAndQueueBounds:
     def test_stopped_bound_formula(self):
@@ -153,6 +157,10 @@ class TestStoppedAndQueueBounds:
             bounds.stopped_tail_bound(1.5, 10.0, 1.0)
         with pytest.raises(ValueError):
             bounds.stopped_tail_bound(0.5, -1.0, 1.0)
+
+    def test_nan_threshold_refused(self):
+        with pytest.raises(ValueError, match="got nan"):
+            bounds.max_tail_upper(models.ShiftedNormal(-0.5, 1.0), 10, math.nan)
 
     def test_queue_requires_negative_drift(self):
         with pytest.raises(UnstableQueue):
@@ -175,6 +183,10 @@ class TestThresholdReport:
         assert rep.mc_quantile <= rep.ub1 + 3 * rep.mc_stderr
         assert rep.ub1 <= rep.ub3 <= rep.ub2
         assert rep.model_spec == nllr.spec()
+
+    def test_negative_mc_reps_refused(self, nllr):
+        with pytest.raises(ValueError, match="mc_reps"):
+            bounds.threshold_report(nllr, 50, 0.05, mc_reps=-5)
 
     def test_report_without_mc_or_lb(self):
         rep = bounds.threshold_report(models.BernoulliPM(0.2), 50, 0.1)

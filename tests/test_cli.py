@@ -119,11 +119,74 @@ class TestHorizons:
         assert captured.err.endswith(
             f"error: argument {flag}: expected an integer >= 0, got '{value}'\n")
 
+    # no large --parallel value: it would start that many threads
+    @pytest.mark.parametrize("argv, flag, value, minimum", [
+        (["threshold", "--model", "normal-llr:delta=1", "--n", "10", "--alpha", "0.05",
+          "--mc-reps", "-5"], "--mc-reps", "-5", 0),
+        (["threshold", "--model", "normal-llr:delta=1", "--n", "10", "--alpha", "0.05",
+          "--mc-reps", "2000", "--parallel", "0"], "--parallel", "0", 1),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "100",
+          "--parallel", "0"], "--parallel", "0", 1),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "100",
+          "--parallel", "-3"], "--parallel", "-3", 1),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "0"],
+         "--reps", "0", 1),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "1.5"],
+         "--reps", "1.5", 1),
+        (["figures", "--which", "5", "--mc-reps", "-1"], "--mc-reps", "-1", 0),
+        (["figures", "--which", "4", "--parallel", "0"], "--parallel", "0", 1),
+    ], ids=["threshold-mc-reps", "threshold-parallel", "simulate-parallel-0",
+            "simulate-parallel-neg", "simulate-reps", "simulate-reps-float",
+            "figures-mc-reps", "figures-parallel"])
+    def test_bad_count_refused(self, capsys, argv, flag, value, minimum):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: expected an integer >= {minimum}, got '{value}'\n")
+
     def test_threshold_at_zero_horizon(self, capsys):
         code, out, err = run(capsys, "threshold", "--model", "normal-llr:delta=1",
                              "--n", "0", "--alpha", "0.05")
         assert code == 1 and out == ""
         assert err == "error: n must be >= 1, got 0\n"
+
+
+class TestNanParameters:
+    @pytest.mark.parametrize("argv, message", [
+        (["detect", "--theta0", "0", "--theta1", "1", "--threshold-variant", "custom",
+          "--h", "nan"], "CusumkitError: --h must be positive, got nan"),
+        (["detect", "--theta0", "0", "--theta1", "1", "--threshold-variant", "custom",
+          "--h", "nan", "--mode", "monitor"], "CusumkitError: --h must be positive, got nan"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "nan", "--n", "3"],
+         "lambda must be a number, got nan"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "nan", "--n", "3",
+          "--method", "matrix"], "lambda must be a number, got nan"),
+        (["queue-bound", "--model", "shifted-normal:a=-0.5,sigma=1", "--n", "10",
+          "--h", "nan"], "threshold h must be a number, got nan"),
+        (["regimes", "--model", "normal-llr:delta=1", "--lambda", "nan"],
+         "lambda must be nonnegative, got nan"),
+    ], ids=["detect-scan", "detect-monitor", "mgf", "mgf-matrix", "queue-bound",
+            "regimes"])
+    def test_nan_refused(self, capsys, tmp_path, argv, message):
+        if argv[0] == "detect":
+            data = tmp_path / "obs.csv"
+            data.write_text("5\n5\n5\n")
+            argv = argv + ["--input", str(data)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_monitor_accepts_infinite_h(self, capsys, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("5\n5\n5\n")
+        code, out, _ = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                           "--threshold-variant", "custom", "--h", "inf",
+                           "--mode", "monitor", "--input", str(data))
+        result = json.loads(out)["result"]
+        assert code == 0 and result["new_alarms"] == []
+        assert result["running_max"] == 13.5
 
 
 class TestNumericPayloads:

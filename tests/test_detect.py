@@ -133,6 +133,10 @@ class TestScanOffline:
         with pytest.raises(ValueError):
             detect.scan_offline([1.0], h=0.0)
 
+    def test_nan_threshold_refused(self):
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            detect.scan_offline([1.0], h=math.nan)
+
     def test_overflow_to_inf(self):
         # the scan keeps W = +inf in its path; it never alarms and resets
         with np.errstate(over="ignore"):

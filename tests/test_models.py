@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from cusumkit import models
+from cusumkit import models, rng
 from cusumkit.errors import (
     NoConvergence,
     NoPositiveRoot,
@@ -387,6 +388,9 @@ class TestMgfProperties:
         assert m.mgf_prime(lam) == pytest.approx(fd, rel=1e-8)
 
 
+TABLE3 = models.DiscreteTable((1.0, -0.5, -2.0), (0.25, 0.5, 0.25))
+
+
 def _searchsorted_quantile(model, u):
     """The inverse CDF the Monte Carlo pipeline used before quantile()."""
     support = np.asarray(model.support)
@@ -446,6 +450,47 @@ class TestQuantile:
         u = np.array(u)
         want = model.loc + model.scale * ndtri(u)
         assert model.quantile(u).tobytes() == want.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_out_matches_fresh_array(self, data):
+        model = data.draw(st.one_of(
+            _tables(), st.floats(0.01, 0.99).map(models.BernoulliPM),
+            st.floats(0.05, 5.0).map(models.NormalLLR)))
+        shape = data.draw(st.sampled_from(["philox-view", "flat", "strided-out"]))
+        if shape == "philox-view":
+            # rows of n draws inside rows of 4 * ceil(n / 4) Philox outputs
+            n = data.draw(st.integers(1, 23).filter(lambda n: n % 4))
+            u = rng.uniform_block(data.draw(st.integers(0, 99)), 0,
+                                  data.draw(st.integers(1, 9)), n)
+            buffer = u.base.reshape(len(u), -1)
+        else:
+            u = _uniforms(data.draw, np.cumsum(model.probs)) if hasattr(
+                model, "support") else rng.uniform_block(3, 0, 1, 37)[0].copy()
+            if shape == "strided-out":
+                u = u.reshape(1, -1)
+                buffer = np.full((1, 3 * u.size), 7.0)
+        want = model.quantile(u.copy())
+        before = buffer.copy() if shape != "flat" else None
+        out = u if shape != "strided-out" else buffer[:, ::3]
+        # slices of one row, a few rows, and the whole block
+        slice_draws = data.draw(st.sampled_from([1, 5, 40, 1 << 16]))
+        with mock.patch.object(models, "_QUANTILE_SLICE", slice_draws):
+            got = model.quantile(u, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        if shape == "philox-view":
+            padding = np.ones(buffer.shape, dtype=bool)
+            padding[:, : u.shape[1]] = False
+            assert buffer[padding].tobytes() == before[padding].tobytes()
+        elif shape == "strided-out":
+            assert (np.delete(buffer, np.s_[::3], axis=1) == 7.0).all()
+
+    def test_scalar_uniform(self):
+        for model in (models.NormalLLR(1.0), models.BernoulliPM(0.3), TABLE3):
+            for u in (0.2, 0.9):
+                want = model.quantile(np.array([u]))
+                assert model.quantile(np.float64(u)).tobytes() == want.tobytes()
 
     def test_strided_block(self):
         # uniform_block hands over a non-contiguous view of the Philox buffer

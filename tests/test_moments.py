@@ -81,6 +81,20 @@ class TestCrossMethodIdentity:
         with pytest.raises(TooLarge):
             moments.cusum_mgf_partitions(nllr, 1.0, 13)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_matrix_refuses_non_finite_x(self, nllr, monkeypatch, bad):
+        xs = nllr.rectified_exp_seq(1.0, 6)
+        xs[3] = bad
+        monkeypatch.setattr(moments, "_x_seq", lambda model, lam, n: xs[:n])
+        with pytest.raises(DivergentMoment, match="not finite"):
+            moments.cusum_mgf_matrix(nllr, 1.0, 6)
+
+    @pytest.mark.parametrize("route", [moments.cusum_mgf_recursive,
+                                       moments.cusum_mgf_matrix])
+    def test_nan_lambda_refused(self, nllr, route):
+        with pytest.raises(ValueError, match="got nan"):
+            route(nllr, math.nan, 5)
+
     def test_zero_horizon(self, nllr):
         assert moments.cusum_mgf_recursive(nllr, 1.0, 0).values.tolist() == [1.0]
         assert moments.cusum_mgf_matrix(nllr, 1.0, 0).values.tolist() == [1.0]

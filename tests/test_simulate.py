@@ -1,8 +1,12 @@
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusumkit import detect, models, moments, rng, simulate
 from cusumkit.errors import (
@@ -69,6 +73,28 @@ class TestDeterminism:
         np.testing.assert_array_equal(big.w_final, small.w_final)
         np.testing.assert_array_equal(big.w_max, small.w_max)
 
+    @given(
+        model=st.one_of(
+            st.floats(0.05, 3.0).map(models.NormalLLR),
+            st.builds(models.ShiftedNormal, st.floats(-2.0, 1.0), st.floats(0.1, 3.0)),
+            st.floats(0.05, 0.95).map(models.BernoulliPM),
+            st.sampled_from([TABLE3, TABLE5, IRRATIONAL]),
+        ),
+        n=st.integers(1, 60),
+        reps=st.integers(1, 80),
+        chunk_elements=st.integers(1, 400),
+        streams=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_and_worker_invariance(self, model, n, reps, chunk_elements,
+                                         streams):
+        whole = simulate.simulate_cusum(simulate.SimConfig(model, n, reps, seed=17))
+        with mock.patch.object(simulate, "_TARGET_CHUNK_ELEMENTS", chunk_elements):
+            split = simulate.simulate_cusum(
+                simulate.SimConfig(model, n, reps, seed=17, parallel_streams=streams))
+        assert split.w_final.tobytes() == whole.w_final.tobytes()
+        assert split.w_max.tobytes() == whole.w_max.tobytes()
+
     def test_discrete_sampling_deterministic(self):
         m = models.BernoulliPM(0.3)
         a = simulate.simulate_cusum(simulate.SimConfig(m, 20, 100, seed=5))
@@ -95,6 +121,30 @@ class TestAgainstAnalytic:
             simulate.SimConfig(nllr, 10, 0, seed=0)
         with pytest.raises(ValueError):
             simulate.SimConfig(nllr, -1, 10, seed=0)
+        for streams in (0, -3):
+            with pytest.raises(ValueError, match="parallel_streams"):
+                simulate.SimConfig(nllr, 10, 10, seed=0, parallel_streams=streams)
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("model", [models.NormalLLR(1.0), models.BernoulliPM(0.3)],
+                             ids=["normal", "lattice"])
+    def test_peak_is_about_one_philox_buffer(self, model, n):
+        # each chunk holds one float64 array: its Philox block, which the
+        # increments overwrite; the slices of the lattice transform are small
+        chunk = simulate._TARGET_CHUNK_ELEMENTS // n
+        philox_bytes = chunk * 4 * rng.blocks_per_rep(n) * 8
+        config = simulate.SimConfig(model, n, 2 * chunk, seed=5)
+        simulate.simulate_cusum(config)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            simulate.simulate_cusum(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        results = 2 * config.reps * 8  # w_final and w_max
+        assert peak - results <= 1.25 * philox_bytes
 
 
 class TestQuantiles:
