@@ -78,23 +78,20 @@ class DiscretePair:
         for name, pmf in (("f", self.f), ("g", self.g)):
             if any(p < 0.0 for p in pmf) or abs(sum(pmf) - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be a pmf summing to 1")
-        if any(fp == 0.0 and gp > 0.0 for fp, gp in zip(self.f, self.g)):
-            raise ValueError("g must vanish wherever f does")
+        for x, fp, gp in zip(self.support, self.f, self.g):
+            if (fp == 0.0) != (gp == 0.0):  # log(g / f) would be +-inf
+                raise ValueError(f"f and g must vanish together; support point "
+                                 f"{x:g} has f = {fp:g}, g = {gp:g}")
         self._llr_lookup  # keys the support once, refusing shared keys
 
     def increment_model(self) -> IncrementModel:
         # Distinct support points can share one log-ratio value; merge
         # their f-probabilities so the table stays a valid distribution.
         acc: dict[float, float] = {}
-        for x, fp, gp in zip(self.support, self.f, self.g):
-            if fp == 0.0:
-                continue
-            y = math.log(gp / fp) if gp > 0.0 else -math.inf
-            if y == -math.inf:
-                raise ValueError(
-                    f"support point {x:g} has g = 0; its log-ratio is -inf"
-                )
-            acc[y] = acc.get(y, 0.0) + fp
+        for fp, gp in zip(self.f, self.g):
+            if fp > 0.0:
+                y = math.log(gp / fp)
+                acc[y] = acc.get(y, 0.0) + fp
         values = tuple(sorted(acc))
         return DiscreteTable(
             values=values, weights=tuple(acc[v] for v in values), llr=True

@@ -207,10 +207,9 @@ class IncrementModel:
         """Arrays of E S_k+ and E (S_k+)^2 for k = 1..n."""
         raise NotImplementedError
 
-    def rectified_moments(self, n: int) -> tuple[float, float]:
-        """(E S_n+, Var S_n+)."""
-        m1, m2 = self.rectified_moment_seq(n)
-        return float(m1[n - 1]), float(m2[n - 1] - m1[n - 1] ** 2)
+    def lattice(self) -> Lattice:
+        """The integer-key lattice of a finite support (exact enumeration)."""
+        raise TypeError("exact enumeration requires a finite-support model")
 
     # -- discrepancy ------------------------------------------------------
 
@@ -338,8 +337,8 @@ class NormalLLR(_NormalBase):
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta:g}")
 
     @property
     def loc(self) -> float:
@@ -371,8 +370,10 @@ class ShiftedNormal(_NormalBase):
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a:g}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma:g}")
 
     @property
     def loc(self) -> float:
@@ -672,6 +673,8 @@ class DiscreteTable(_DiscreteBase):
     def __post_init__(self):
         if len(self.values) != len(self.weights) or not self.values:
             raise ValueError("support and probabilities must match and be nonempty")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"values must be finite, got {self.values}")
         if len(set(self.values)) != len(self.values):
             raise ValueError("support values must be distinct")
         if any(not 0.0 <= w <= 1.0 for w in self.weights):

@@ -203,6 +203,7 @@ def cusum_mgf_partitions(model: IncrementModel, lam: float, n: int) -> float:
     prod_r x_r^{k_r} / (r^{k_r} k_r!).  Guarded to n <= 12; this is the
     slow oracle for the recursive and matrix routes.
     """
+    _check_lambda(lam)
     if n > _PARTITION_LIMIT:
         raise TooLarge(f"partition summation limited to n <= {_PARTITION_LIMIT}")
     if n == 0:

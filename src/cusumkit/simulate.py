@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .errors import HorizonExceeded, InsufficientReps, StateBudgetExceeded
-from .models import _GRID, IncrementModel, _DiscreteBase, _merge_atoms
+from .errors import HorizonExceeded, InsufficientReps, InvalidAlpha, StateBudgetExceeded
+from .models import _GRID, IncrementModel, _merge_atoms
 
 __all__ = [
     "SimConfig",
@@ -36,6 +36,8 @@ __all__ = [
 # 8 MB of float64 per chunk: each pipeline stage's output stays in cache
 # and TLB reach for the next stage to read
 _TARGET_CHUNK_ELEMENTS = 1_000_000
+# draws per refill of a stopping-time walk; it sizes every substream slice
+_EXCURSION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,12 @@ def mc_quantile_max(
     (conservative, deterministic); the standard error comes from the
     order-statistic bracket at +-sqrt(reps*alpha*(1-alpha)) ranks.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha:g}")
     if reps * alpha < 100:
         raise InsufficientReps(
             f"need reps * alpha >= 100 for a stable quantile, got {reps * alpha:g}"
         )
-    if alpha >= 1.0:
-        return 0.0, 0.0
     res = simulate_cusum(SimConfig(model, n, reps, seed, parallel_streams))
     return _upper_quantile(res.w_max, alpha)
 
@@ -272,8 +274,6 @@ def exact_enumerate(
     every support atom y, on int64 grid keys, then merges equal states.
     Exact up to float rounding; probabilities below 1e-300 only are pruned.
     """
-    if not isinstance(model, _DiscreteBase):
-        raise TypeError("exact enumeration requires a finite-support model")
     lat = model.lattice()
     lat.check_horizon(n)
     kw = km = np.zeros(1, dtype=np.int64)
@@ -309,6 +309,32 @@ class StoppingStats:
     horizon_exceeded: int
 
 
+def _excursion(model: IncrementModel, seed: int, rep: int, h: float,
+               zeros_to_stop: int, max_steps: int) -> tuple[int, bool, bool]:
+    """Walk W from 0 until W >= h or its zeros_to_stop-th return to zero,
+    for at most max_steps steps: (steps, reached h, stopped before the cap).
+
+    The slice of max_steps + _EXCURSION_BLOCK draws keeps a partly used
+    last block out of the next replication's slice.
+    """
+    gen = rng.substream(seed, rep, max_steps + _EXCURSION_BLOCK)
+    w = 0.0
+    steps = zeros = 0
+    while steps < max_steps:
+        u = gen.random(_EXCURSION_BLOCK)
+        y = model.quantile(np.maximum(u, rng.MIN_UNIFORM, out=u), out=u)
+        for inc in y[: max_steps - steps].tolist():
+            steps += 1
+            w = max(w + inc, 0.0)
+            if w >= h:
+                return steps, True, True
+            if w == 0.0:
+                zeros += 1
+                if zeros >= zeros_to_stop:
+                    return steps, False, True
+    return steps, False, False
+
+
 def stopping_stats(
     model: IncrementModel,
     h: float,
@@ -316,66 +342,31 @@ def stopping_stats(
     reps: int,
     seed: int,
     max_steps: int = 100_000,
-    block: int = 256,
 ) -> StoppingStats:
     """Simulate excursions of the CUSUM until the k-th return to zero or a
     threshold crossing, whichever comes first.
 
-    Also estimates E tau1, the expected first return time to zero, from a
-    second set of substreams.  Requires mean(Y) < 0 so excursions
-    terminate; paths that exceed max_steps are counted and reported via a
-    HorizonExceeded warning.
+    Replications 0..reps-1 estimate the crossing probability; replications
+    reps..2*reps-1 walk to the first return to zero (h = inf), so tau1 is
+    their step count.  Requires mean(Y) < 0 so excursions terminate; walks
+    that reach max_steps are counted and reported via a HorizonExceeded
+    warning, and a capped tau1 walk counts max_steps.
     """
     if model.mean() >= 0.0:
         raise ValueError("stopping statistics require mean(Y) < 0")
-    crossed = np.zeros(reps, dtype=bool)
-    tau1 = np.zeros(reps)
-    exceeded = 0
-
-    for rep in range(2 * reps):
-        # allot one extra block of slack so a partially used final block
-        # never reads into the next replication's slice
-        gen = rng.substream(seed, rep, max_steps + block)
-        first_pass = rep < reps
-        w = 0.0
-        zeros = 0
-        first_zero_at = 0
-        hit = False
-        steps = 0
-        done = False
-        while not done and steps < max_steps:
-            u = gen.random(block)
-            y = model.quantile(np.maximum(u, rng.MIN_UNIFORM, out=u), out=u)
-            for inc in y:
-                steps += 1
-                w = max(w + inc, 0.0)
-                if first_pass and w >= h:
-                    hit = True
-                    done = True
-                    break
-                if w == 0.0:
-                    zeros += 1
-                    if first_zero_at == 0:
-                        first_zero_at = steps
-                    if (first_pass and zeros >= k_zeros) or not first_pass:
-                        done = True
-                        break
-                if steps >= max_steps:
-                    break
-        if not done:
-            exceeded += 1
-        if first_pass:
-            crossed[rep] = hit
-        else:
-            tau1[rep - reps] = first_zero_at if first_zero_at else steps
-
+    crossing = [_excursion(model, seed, rep, h, k_zeros, max_steps)
+                for rep in range(reps)]
+    first_zero = [_excursion(model, seed, rep, np.inf, 1, max_steps)
+                  for rep in range(reps, 2 * reps)]
+    exceeded = sum(not finished for _, _, finished in crossing + first_zero)
     if exceeded:
         warnings.warn(
             f"{exceeded} excursions hit the {max_steps}-step cap",
             HorizonExceeded,
             stacklevel=2,
         )
-    p_hat = float(np.mean(crossed))
+    p_hat = float(np.mean([reached for _, reached, _ in crossing]))
+    tau1 = np.array([steps for steps, _, _ in first_zero], dtype=float)
     p_stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / reps))
     return StoppingStats(
         p_hat=p_hat,

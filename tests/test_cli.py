@@ -46,6 +46,13 @@ class TestPlumbing:
         assert code == 1
         assert "InvalidAlpha" in err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_mc_figure_refuses_alpha_outside_unit_interval(self, capsys, alpha):
+        code, out, err = run(capsys, "figures", "--which", "5", "--n", "10",
+                             "--alpha", alpha, "--mc-reps", "2000")
+        assert code == 1 and out == ""
+        assert err == f"error: InvalidAlpha: alpha must lie in (0, 1), got {alpha}\n"
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -167,8 +174,17 @@ class TestNanParameters:
           "--h", "nan"], "threshold h must be a number, got nan"),
         (["regimes", "--model", "normal-llr:delta=1", "--lambda", "nan"],
          "lambda must be nonnegative, got nan"),
+        (["moments", "--model", "normal-llr:delta=inf", "--n", "3"],
+         "delta must be positive and finite, got inf"),
+        (["moments", "--model", "shifted-normal:a=-1,sigma=inf", "--n", "3"],
+         "sigma must be positive and finite, got inf"),
+        (["moments", "--model", "shifted-normal:a=nan,sigma=1", "--n", "3"],
+         "a must be finite, got nan"),
+        (["moments", "--model", "table:y=1;nan,p=0.5;0.5", "--n", "3"],
+         "values must be finite, got (1.0, nan)"),
     ], ids=["detect-scan", "detect-monitor", "mgf", "mgf-matrix", "queue-bound",
-            "regimes"])
+            "regimes", "normal-llr-delta", "shifted-normal-sigma", "shifted-normal-a",
+            "table-values"])
     def test_nan_refused(self, capsys, tmp_path, argv, message):
         if argv[0] == "detect":
             data = tmp_path / "obs.csv"

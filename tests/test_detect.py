@@ -93,8 +93,10 @@ class TestLlrIncrements:
             detect.NormalPair(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             detect.NormalPair(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="support point 1 has f = 0, g = 0.5"):
             detect.DiscretePair((0.0, 1.0), (1.0, 0.0), (0.5, 0.5))
+        with pytest.raises(ValueError, match="support point 2 has f = 0.25, g = 0"):
+            detect.DiscretePair((0.0, 1.0, 2.0), (0.5, 0.25, 0.25), (0.5, 0.5, 0.0))
 
 
 class TestScanOffline:

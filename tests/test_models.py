@@ -326,6 +326,18 @@ class TestValidationAndGrammar:
             models.DiscreteTable((1.0, -1.0), (0.6, 0.6))
         with pytest.raises(ValueError):
             models.DiscreteTable((1.0, -1.0), (0.5, 0.5), llr=True)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                models.NormalLLR(delta)
+        for a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="a must be finite"):
+                models.ShiftedNormal(a, 1.0)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                models.ShiftedNormal(-1.0, sigma)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="values must be finite"):
+                models.DiscreteTable((1.0, bad), (0.5, 0.5))
 
     def test_non_llr_discrepancy_rejected(self):
         with pytest.raises(NotAnLLRModel):

@@ -90,7 +90,8 @@ class TestCrossMethodIdentity:
             moments.cusum_mgf_matrix(nllr, 1.0, 6)
 
     @pytest.mark.parametrize("route", [moments.cusum_mgf_recursive,
-                                       moments.cusum_mgf_matrix])
+                                       moments.cusum_mgf_matrix,
+                                       moments.cusum_mgf_partitions])
     def test_nan_lambda_refused(self, nllr, route):
         with pytest.raises(ValueError, match="got nan"):
             route(nllr, math.nan, 5)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestExactEnumeration:
             simulate.exact_enumerate(m, 40, state_budget=100)
 
     def test_continuous_rejected(self, nllr):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="requires a finite-support model"):
             simulate.exact_enumerate(nllr, 5)
 
     def test_large_keys_up_to_int64(self):
@@ -315,7 +316,7 @@ class TestStoppingStats:
         m = models.ShiftedNormal(-0.01, 1.0)  # long excursions
         with pytest.warns(HorizonExceeded):
             simulate.stopping_stats(
-                m, h=50.0, k_zeros=1, reps=5, seed=1, max_steps=50, block=16
+                m, h=50.0, k_zeros=1, reps=20, seed=1, max_steps=50
             )
 
 
@@ -350,19 +351,36 @@ class TestGolden:
         assert got.hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "model,h,want",
+        "model,h,k_zeros,reps,seed,max_steps,want,capped",
         [
-            (models.ShiftedNormal(-0.5, 1.0), 2.0,
+            (models.ShiftedNormal(-0.5, 1.0), 2.0, 3, 300, 7, 100_000,
              ("0x1.0369d0369d037p-3", "0x1.3a9da3be603c6p-6",
-              "0x1.04b17e4b17e4bp+1", "0x1.13f4d7ea585bbp-3")),
-            (TABLE5, 4.0,
+              "0x1.04b17e4b17e4bp+1", "0x1.13f4d7ea585bbp-3"), 0),
+            (TABLE5, 4.0, 3, 300, 7, 100_000,
              ("0x1.7e4b17e4b17e5p-3", "0x1.709370eb4d28bp-6",
-              "0x1.4eeeeeeeeeeefp+1", "0x1.0c5d8601a2330p-2")),
+              "0x1.4eeeeeeeeeeefp+1", "0x1.0c5d8601a2330p-2"), 0),
+            (models.BernoulliPM(0.3), 2.0, 1, 200, 11, 100_000,
+             ("0x1.5c28f5c28f5c3p-4", "0x1.4317503483399p-6",
+              "0x1.dc28f5c28f5c3p+0", "0x1.c7a61fc40e1e8p-3"), 0),
+            (models.ShiftedNormal(-0.5, 1.0), 0.0, 2, 50, 3, 100_000,
+             ("0x1.0000000000000p+0", "0x0.0p+0",
+              "0x1.2e147ae147ae1p+1", "0x1.457a7307ec36ap-2"), 0),
+            (models.ShiftedNormal(-0.01, 1.0), 50.0, 1, 20, 1, 50,
+             ("0x0.0p+0", "0x0.0p+0",
+              "0x1.2333333333333p+3", "0x1.ac8fa60d30fc3p+1"), 2),
+            (models.ShiftedNormal(-0.001, 1.0), 1e9, 5, 20, 4, 300,
+             ("0x0.0p+0", "0x0.0p+0",
+              "0x1.ca66666666666p+4", "0x1.e03cbe08b2366p+3"), 5),
         ],
-        ids=["normal", "table5"],
+        ids=["normal", "table5", "bernoulli", "h0", "capped-50", "capped-300"],
     )
-    def test_stopping_stats(self, model, h, want):
-        s = simulate.stopping_stats(model, h=h, k_zeros=3, reps=300, seed=7)
+    def test_stopping_stats(self, model, h, k_zeros, reps, seed, max_steps, want,
+                            capped):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = simulate.stopping_stats(model, h=h, k_zeros=k_zeros, reps=reps,
+                                        seed=seed, max_steps=max_steps)
+        assert [w.category for w in caught] == [HorizonExceeded] * (capped > 0)
         got = (s.p_hat, s.p_stderr, s.mean_tau1, s.tau1_stderr)
         assert tuple(x.hex() for x in got) == want
-        assert s.horizon_exceeded == 0
+        assert s.horizon_exceeded == capped
