@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .errors import InvalidAlpha, NotSupportedModel, UnstableQueue
+from .errors import DivergentMoment, InvalidAlpha, NotSupportedModel, UnstableQueue
 from .models import IncrementModel, NormalLLR, cached_lambda_star
 from .moments import cusum_mgf_recursive
 
@@ -191,6 +191,8 @@ def regime(model: IncrementModel, lam: float) -> Regime:
     """Classify lambda against lambda* (relative tolerance 1e-12)."""
     if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam:g}")
+    if math.isinf(lam):
+        raise ValueError(f"lambda must be finite, got {lam:g}")
     lam_star = cached_lambda_star(model)
     if abs(lam - lam_star) <= _CRITICAL_RTOL * lam_star:
         return Regime(kind="critical", lam=lam, lam_star=lam_star)
@@ -198,9 +200,10 @@ def regime(model: IncrementModel, lam: float) -> Regime:
         return Regime(
             kind="subcritical", lam=lam, lam_star=lam_star, omega=lam / lam_star
         )
-    return Regime(
-        kind="supercritical", lam=lam, lam_star=lam_star, growth=model.mgf(lam)
-    )
+    growth = model.mgf(lam)
+    if math.isinf(growth):
+        raise DivergentMoment(f"m(lambda) overflows at lambda = {lam:g}")
+    return Regime(kind="supercritical", lam=lam, lam_star=lam_star, growth=growth)
 
 
 def stopped_tail_bound(discrepancy: float, expected_stop: float, h: float) -> float:

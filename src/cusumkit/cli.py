@@ -290,10 +290,13 @@ def _cmd_queue_bound(args) -> None:
 def _parse_density(text: str):
     spec = models.Spec(text)
     if spec.kind == "normal":
-        return ("normal", spec.number("mean"), spec.number("sigma"))
-    if spec.kind == "table":
-        return ("table", spec.numbers("y"), spec.numbers("p"))
-    raise ValueError(f"unknown density kind {spec.kind!r}")
+        density = ("normal", spec.number("mean"), spec.number("sigma"))
+    elif spec.kind == "table":
+        density = ("table", spec.numbers("y"), spec.numbers("p"))
+    else:
+        raise ValueError(f"unknown density kind {spec.kind!r}")
+    spec.close()
+    return density
 
 
 def _build_pair(args):
@@ -531,12 +534,12 @@ def _cmd_figures(args) -> None:
         rows = Table.of_rows(rows, len(header))
     elif args.which == 5:
         deltas = deltas or [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
-        reps = args.mc_reps or 20_000
+        args.mc_reps = args.mc_reps or 20_000  # the config echoes the count used
         header = ["delta", "n", "alpha", "mc", "stderr"]
         rows = []
         for d in deltas:
             h, se = simulate.mc_quantile_max(
-                models.NormalLLR(d), args.n, args.alpha, reps, args.seed,
+                models.NormalLLR(d), args.n, args.alpha, args.mc_reps, args.seed,
                 parallel_streams=args.parallel,
             )
             rows.append([d, args.n, args.alpha, h, se])
@@ -578,6 +581,14 @@ def _horizons(text: str) -> str:
     """A --ns value: comma-separated integers >= 0, echoed as given."""
     for v in text.split(","):
         _nonnegative(v)
+    return text
+
+
+def _numbers(text: str) -> str:
+    """A --deltas value: comma-separated numbers, at least one, echoed as
+    given."""
+    if not _parse_float_list(text):
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return text
 
 
@@ -666,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("figures", help="data tables behind the diagnostic figures")
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--deltas", default=None)
+    p.add_argument("--deltas", type=_numbers, default=None)
     p.add_argument("--delta", type=float, default=1.0, help="figure 3 only")
     p.add_argument("--n", type=_nonnegative, default=2000)
     p.add_argument("--ns", type=_horizons, default="50,200,500,1000",

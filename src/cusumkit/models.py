@@ -99,8 +99,9 @@ class IncrementModel:
 
     @property
     def is_llr(self) -> bool:
-        """True when Y is a log-likelihood-ratio increment (E exp(Y) = 1)."""
-        return False
+        """True when Y is a log-likelihood-ratio increment: |E exp(Y) - 1|
+        <= 1e-9, whatever the kind of model."""
+        return abs(self.mgf(1.0) - 1.0) <= 1e-9
 
     def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF: increments distributed as Y from uniforms u in (0, 1).
@@ -219,9 +220,11 @@ class IncrementModel:
         Equals the total-variation discrepancy between the default and
         disturbed distributions generating Y.
         """
-        raise NotAnLLRModel(
-            f"{type(self).__name__} increments are not log-likelihood ratios"
-        )
+        if not self.is_llr:
+            raise NotAnLLRModel(
+                f"{self.spec()} increments are not log-likelihood ratios"
+            )
+        return self.one_minus_exp_pos_mean(1.0)
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:
         """E(1 - exp(lam*Y))+, the scaled discrepancy used by the bounds."""
@@ -265,7 +268,10 @@ class _NormalBase(IncrementModel):
         return self.scale**2
 
     def mgf(self, lam: float) -> float:
-        return math.exp(lam * self.loc + 0.5 * (lam * self.scale) ** 2)
+        try:
+            return math.exp(lam * self.loc + 0.5 * (lam * self.scale) ** 2)
+        except OverflowError:
+            return math.inf
 
     def mgf_prime(self, lam: float) -> float:
         return (self.loc + lam * self.scale**2) * self.mgf(lam)
@@ -313,8 +319,15 @@ class _NormalBase(IncrementModel):
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         mu, sd = self._sum_params(n)
         z = mu / sd
-        m1 = mu * ndtr(z) + sd * _norm_pdf(z)
-        m2 = (mu**2 + sd**2) * ndtr(z) + mu * sd * _norm_pdf(z)
+        with np.errstate(over="ignore"):  # z**2 = inf is a density of 0
+            cdf, pdf = ndtr(z), _norm_pdf(z)
+        # where both underflow S_k+ is 0 in float64, and mu**2 may be inf
+        live = (cdf > 0.0) | (pdf > 0.0)
+        mu, sd, cdf, pdf = mu[live], sd[live], cdf[live], pdf[live]
+        m1 = np.zeros(n)
+        m2 = np.zeros(n)
+        m1[live] = mu * cdf + sd * pdf
+        m2[live] = (mu**2 + sd**2) * cdf + mu * sd * pdf
         return m1, m2
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:
@@ -339,6 +352,8 @@ class NormalLLR(_NormalBase):
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta:g}")
+        if math.isinf(self.delta * self.delta):
+            raise ValueError(f"delta must have a finite square, got {self.delta:g}")
 
     @property
     def loc(self) -> float:
@@ -348,15 +363,8 @@ class NormalLLR(_NormalBase):
     def scale(self) -> float:
         return self.delta
 
-    @property
-    def is_llr(self) -> bool:
-        return True
-
     def _lambda_star_impl(self) -> float:
         return 1.0
-
-    def tv_discrepancy(self) -> float:
-        return float(2.0 * ndtr(0.5 * self.delta) - 1.0)
 
     def spec(self) -> str:
         return f"normal-llr:delta={self.delta:.17g}"
@@ -374,6 +382,8 @@ class ShiftedNormal(_NormalBase):
             raise ValueError(f"a must be finite, got {self.a:g}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma:g}")
+        if math.isinf(self.sigma * self.sigma):
+            raise ValueError(f"sigma must have a finite square, got {self.sigma:g}")
 
     @property
     def loc(self) -> float:
@@ -513,7 +523,8 @@ class _DiscreteBase(IncrementModel):
         return float(np.dot(s * s, self.probs) - self.mean() ** 2)
 
     def mgf(self, lam: float) -> float:
-        return float(np.dot(np.exp(lam * np.asarray(self.support)), self.probs))
+        with np.errstate(over="ignore"):  # an overflow is m(lam) = inf
+            return float(np.dot(np.exp(lam * np.asarray(self.support)), self.probs))
 
     def mgf_prime(self, lam: float) -> float:
         s = np.asarray(self.support)
@@ -642,21 +653,9 @@ class BernoulliPM(_DiscreteBase):
     def probs(self) -> tuple[float, ...]:
         return (self.p, 1.0 - self.p)
 
-    @property
-    def is_llr(self) -> bool:
-        # E e^Y = p e + (1 - p)/e equals 1 exactly at p = 1/(1 + e).
-        return abs(self.mgf(1.0) - 1.0) <= 1e-9
-
     def _lambda_star_impl(self) -> float:
         # p z^2 - z + (1 - p) = 0 with z = e^lambda; roots z = 1, (1-p)/p.
         return math.log((1.0 - self.p) / self.p)
-
-    def tv_discrepancy(self) -> float:
-        if not self.is_llr:
-            raise NotAnLLRModel(
-                f"BernoulliPM(p={self.p:g}) has E exp(Y) != 1"
-            )
-        return self.one_minus_exp_pos_mean(1.0)
 
     def spec(self) -> str:
         return f"bernoulli-pm:p={self.p:.17g}"
@@ -681,7 +680,7 @@ class DiscreteTable(_DiscreteBase):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(sum(self.weights) - 1.0) > _PROB_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        if self.llr and abs(self.mgf(1.0) - 1.0) > 1e-9:
+        if self.llr and not self.is_llr:
             raise ValueError("llr flag requires E exp(Y) = 1 within 1e-9")
 
     @property
@@ -691,15 +690,6 @@ class DiscreteTable(_DiscreteBase):
     @property
     def probs(self) -> tuple[float, ...]:
         return self.weights
-
-    @property
-    def is_llr(self) -> bool:
-        return self.llr
-
-    def tv_discrepancy(self) -> float:
-        if not self.llr:
-            raise NotAnLLRModel("table not flagged as log-likelihood ratios")
-        return self.one_minus_exp_pos_mean(1.0)
 
     def spec(self) -> str:
         y = ";".join(f"{v:.17g}" for v in self.values)
@@ -736,11 +726,12 @@ class RateFunction:
 
 
 class Spec:
-    """A ``kind:key=val,...`` spec string; parts without ``=`` are flags.
+    """A ``kind:key=val,...`` spec string; other nonblank parts are flags.
 
     Reading a field the spec lacks, or one that is not a number, raises
     ValueError, so a malformed spec reaches the command line as an error
-    message rather than a traceback.
+    message rather than a traceback.  So does a repeated part, and, at
+    ``close``, a part that no reader asked for.
     """
 
     def __init__(self, text: str):
@@ -748,16 +739,21 @@ class Spec:
         self.kind, _, body = text.strip().partition(":")
         self.fields: dict[str, str] = {}
         self.flags: list[str] = []
-        for part in body.split(","):
+        for part in filter(None, map(str.strip, body.split(","))):
             key, eq, val = part.partition("=")
+            key = key.strip()
+            if key in (self.fields if eq else self.flags):
+                raise ValueError(f"spec {text!r} repeats {key!r}")
             if eq:
-                self.fields[key.strip()] = val.strip()
+                self.fields[key] = val.strip()
             else:
-                self.flags.append(part.strip())
+                self.flags.append(key)
+        self._read: set[tuple[str, str]] = set()  # (kind, name) pairs asked for
 
     def _field(self, key: str) -> str:
         if key not in self.fields:
             raise ValueError(f"spec {self.text!r} is missing field {key!r}")
+        self._read.add(("field", key))
         return self.fields[key]
 
     def number(self, key: str) -> float:
@@ -766,6 +762,18 @@ class Spec:
     def numbers(self, key: str) -> tuple[float, ...]:
         """A ';'-separated list of numbers."""
         return tuple(float(v) for v in self._field(key).split(";"))
+
+    def flag(self, name: str) -> bool:
+        """Whether the flag is given."""
+        self._read.add(("flag", name))
+        return name in self.flags
+
+    def close(self) -> None:
+        """Refuse the fields and flags that no reader asked for."""
+        for kind, names in (("field", self.fields), ("flag", self.flags)):
+            for name in names:
+                if (kind, name) not in self._read:
+                    raise ValueError(f"spec {self.text!r} has unknown {kind} {name!r}")
 
 
 def parse_model(text: str) -> IncrementModel:
@@ -779,15 +787,18 @@ def parse_model(text: str) -> IncrementModel:
     """
     spec = Spec(text)
     if spec.kind == "normal-llr":
-        return NormalLLR(delta=spec.number("delta"))
-    if spec.kind == "shifted-normal":
-        return ShiftedNormal(a=spec.number("a"), sigma=spec.number("sigma"))
-    if spec.kind == "bernoulli-pm":
-        return BernoulliPM(p=spec.number("p"))
-    if spec.kind == "table":
-        return DiscreteTable(values=spec.numbers("y"), weights=spec.numbers("p"),
-                             llr="llr" in spec.flags)
-    raise ValueError(f"unknown model kind {spec.kind!r}")
+        model = NormalLLR(delta=spec.number("delta"))
+    elif spec.kind == "shifted-normal":
+        model = ShiftedNormal(a=spec.number("a"), sigma=spec.number("sigma"))
+    elif spec.kind == "bernoulli-pm":
+        model = BernoulliPM(p=spec.number("p"))
+    elif spec.kind == "table":
+        model = DiscreteTable(values=spec.numbers("y"), weights=spec.numbers("p"),
+                              llr=spec.flag("llr"))
+    else:
+        raise ValueError(f"unknown model kind {spec.kind!r}")
+    spec.close()
+    return model
 
 
 @lru_cache(maxsize=None)

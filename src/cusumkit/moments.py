@@ -151,6 +151,8 @@ def moment_table(model: IncrementModel, n: int) -> MomentTable:
 def _check_lambda(lam: float) -> None:
     if math.isnan(lam):
         raise ValueError(f"lambda must be a number, got {lam:g}")
+    if math.isinf(lam):
+        raise ValueError(f"lambda must be finite, got {lam:g}")
 
 
 def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:

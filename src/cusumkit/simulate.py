@@ -10,6 +10,7 @@ trusted oracle for the analytic moment engine.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .errors import HorizonExceeded, InsufficientReps, InvalidAlpha, StateBudgetExceeded
+from .errors import (
+    DivergentMoment,
+    HorizonExceeded,
+    InsufficientReps,
+    InvalidAlpha,
+    StateBudgetExceeded,
+)
 from .models import _GRID, IncrementModel, _merge_atoms
 
 __all__ = [
@@ -116,6 +123,8 @@ def simulate_cusum(config: SimConfig, exp_lam: float | None = None) -> SimResult
     standard error; the sample MGF has high variance, so analytic values
     should be preferred whenever they are available.
     """
+    if exp_lam is not None and not math.isfinite(exp_lam):
+        raise ValueError(f"lambda must be finite, got {exp_lam:g}")
     n, reps = config.n, config.reps
     w_final = np.zeros(reps)
     w_max = np.zeros(reps)
@@ -139,9 +148,13 @@ def simulate_cusum(config: SimConfig, exp_lam: float | None = None) -> SimResult
     mean_stderr = float(np.sqrt(variance / reps))
     exp_moment = exp_stderr = None
     if exp_lam is not None:
-        e = np.exp(exp_lam * w_final)
-        exp_moment = float(np.mean(e))
-        exp_stderr = float(np.std(e, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            e = np.exp(exp_lam * w_final)
+            exp_moment = float(np.mean(e))
+            exp_stderr = float(np.std(e, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        if not math.isfinite(exp_moment + exp_stderr):
+            raise DivergentMoment(
+                f"sample exp moment overflows at lambda = {exp_lam:g}")
     return SimResult(
         config=config,
         w_final=w_final,
@@ -190,11 +203,17 @@ def _upper_quantile(samples: np.ndarray, alpha: float) -> tuple[float, float]:
     return h, stderr
 
 
+def _check_threshold(h: float) -> None:
+    if not h >= 0.0:
+        raise ValueError(f"h must be >= 0, got {h:g}")
+
+
 def mc_tail_max(
     model: IncrementModel, n: int, h: float, reps: int, seed: int,
     parallel_streams: int = 1,
 ) -> tuple[float, float]:
     """MC estimate of P(max W over [0, n] >= h) with a 3-sigma halfwidth."""
+    _check_threshold(h)
     res = simulate_cusum(SimConfig(model, n, reps, seed, parallel_streams))
     p_hat = float(np.mean(res.w_max >= h))
     ci = 3.0 * float(np.sqrt(p_hat * (1.0 - p_hat) / reps))
@@ -274,6 +293,8 @@ def exact_enumerate(
     every support atom y, on int64 grid keys, then merges equal states.
     Exact up to float rounding; probabilities below 1e-300 only are pruned.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     lat = model.lattice()
     lat.check_horizon(n)
     kw = km = np.zeros(1, dtype=np.int64)
@@ -352,6 +373,10 @@ def stopping_stats(
     that reach max_steps are counted and reported via a HorizonExceeded
     warning, and a capped tau1 walk counts max_steps.
     """
+    _check_threshold(h)
+    for name, count in (("k_zeros", k_zeros), ("reps", reps), ("max_steps", max_steps)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if model.mean() >= 0.0:
         raise ValueError("stopping statistics require mean(Y) < 0")
     crossing = [_excursion(model, seed, rep, h, k_zeros, max_steps)

@@ -4,6 +4,7 @@ import pytest
 
 from cusumkit import bounds, models, moments, simulate
 from cusumkit.errors import (
+    DivergentMoment,
     InvalidAlpha,
     NotSupportedModel,
     UnstableQueue,
@@ -95,6 +96,11 @@ class TestLowerThresholds:
         with pytest.raises(NotSupportedModel):
             bounds.threshold_lb(models.BernoulliPM(0.2), 100, 0.05, "lb1")
 
+    def test_threshold_is_the_detail_envelope(self, nllr):
+        detail = bounds.lower_bound_detail(nllr, 300, 0.01)
+        assert bounds.threshold_lb(nllr, 300, 0.01, "lb1") == detail.lb1
+        assert bounds.threshold_lb(nllr, 300, 0.01, "lb2") == detail.lb2
+
     def test_variant_names(self, nllr):
         with pytest.raises(ValueError):
             bounds.threshold_lb(nllr, 10, 0.05, "lb9")
@@ -139,6 +145,16 @@ class TestRegimes:
     def test_negative_lambda_rejected(self, nllr):
         with pytest.raises(ValueError):
             bounds.regime(nllr, -0.1)
+
+    def test_infinite_lambda_rejected(self, nllr):
+        with pytest.raises(ValueError, match="^lambda must be finite, got inf$"):
+            bounds.regime(nllr, math.inf)
+
+    @pytest.mark.parametrize("model", [models.NormalLLR(1.0), models.BernoulliPM(0.3)],
+                             ids=["normal-llr", "bernoulli"])
+    def test_overflowing_growth_refused(self, model):
+        with pytest.raises(DivergentMoment, match="overflows at lambda = 1000"):
+            bounds.regime(model, 1000.0)
 
     def test_nan_lambda_rejected(self, nllr):
         with pytest.raises(ValueError, match="nonnegative, got nan"):

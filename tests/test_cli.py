@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cusumkit import cli, models, moments
+from cusumkit import cli, models, moments, simulate
 from cusumkit.errors import CusumkitError
 
 from _oracles import csv_rows, json_fragment, read_values_per_line
@@ -182,9 +182,37 @@ class TestNanParameters:
          "a must be finite, got nan"),
         (["moments", "--model", "table:y=1;nan,p=0.5;0.5", "--n", "3"],
          "values must be finite, got (1.0, nan)"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "inf", "--n", "3"],
+         "lambda must be finite, got inf"),
+        (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda=-inf", "--n", "3"],
+         "lambda must be finite, got -inf"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "inf", "--n", "3",
+          "--method", "matrix"], "lambda must be finite, got inf"),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "3", "--reps", "5",
+          "--lambda", "inf"], "lambda must be finite, got inf"),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "3", "--reps", "5",
+          "--lambda", "1e300"],
+         "DivergentMoment: sample exp moment overflows at lambda = 1e+300"),
+        (["regimes", "--model", "normal-llr:delta=1", "--lambda", "inf"],
+         "lambda must be finite, got inf"),
+        (["regimes", "--model", "normal-llr:delta=1", "--lambda", "1000"],
+         "DivergentMoment: m(lambda) overflows at lambda = 1000"),
+        (["regimes", "--model", "bernoulli-pm:p=0.3", "--lambda", "1000"],
+         "DivergentMoment: m(lambda) overflows at lambda = 1000"),
+        (["moments", "--model", "normal-llr:delta=1e200", "--n", "3"],
+         "delta must have a finite square, got 1e+200"),
+        (["threshold", "--model", "normal-llr:delta=1e200", "--n", "3", "--alpha",
+          "0.05"], "delta must have a finite square, got 1e+200"),
+        (["threshold", "--model", "shifted-normal:a=-1,sigma=1e160", "--n", "3",
+          "--alpha", "0.05"], "sigma must have a finite square, got 1e+160"),
+        (["moments", "--model", "normal-llr:delta=1,sigma=3", "--n", "3"],
+         "spec 'normal-llr:delta=1,sigma=3' has unknown field 'sigma'"),
     ], ids=["detect-scan", "detect-monitor", "mgf", "mgf-matrix", "queue-bound",
             "regimes", "normal-llr-delta", "shifted-normal-sigma", "shifted-normal-a",
-            "table-values"])
+            "table-values", "mgf-inf", "mgf-neg-inf", "mgf-matrix-inf", "simulate-inf",
+            "simulate-overflow", "regimes-inf", "regimes-overflow",
+            "regimes-overflow-bernoulli", "normal-llr-delta-square",
+            "threshold-delta-square", "threshold-sigma-square", "spec-unknown-field"])
     def test_nan_refused(self, capsys, tmp_path, argv, message):
         if argv[0] == "detect":
             data = tmp_path / "obs.csv"
@@ -218,6 +246,28 @@ class TestNumericPayloads:
                         "--n", "500", "--alpha", "0.05")
         rep = json.loads(out)["result"]
         assert rep["ub2"] == pytest.approx(math.log(501 / 0.05), rel=1e-15)
+
+    def test_queue_bound_matches_library(self, capsys):
+        code, out, _ = run(capsys, "queue-bound", "--model",
+                           "shifted-normal:a=-0.5,sigma=1.5", "--n", "10", "--h", "6")
+        result = json.loads(out)["result"]
+        model = models.ShiftedNormal(-0.5, 1.5)
+        lam = models.cached_lambda_star(model)
+        d = model.one_minus_exp_pos_mean(lam)
+        assert code == 0
+        assert result["lambda_star"] == lam
+        assert result["bound"] == min(math.exp(-lam * 6.0) * (1.0 + 10 * d), 1.0) < 1.0
+
+    def test_simulate_emit_reps_csv(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "bernoulli-pm:p=0.3",
+                           "--n", "30", "--reps", "25", "--seed", "4", "--emit-reps",
+                           "--format", "csv")
+        lines = out.splitlines()
+        res = simulate.simulate_cusum(
+            simulate.SimConfig(models.BernoulliPM(0.3), 30, 25, seed=4))
+        assert code == 0 and lines[1] == "rep,w_n,max_w"
+        assert lines[2:] == [f"{i},{w:.12g},{m:.12g}"
+                             for i, (w, m) in enumerate(zip(res.w_final, res.w_max))]
 
     def test_rerun_reproduces_payload(self, capsys):
         args = ["simulate", "--model", "normal-llr:delta=1", "--n", "20",
@@ -339,6 +389,39 @@ class TestDetectSubcommand:
         rep = json.loads(out)["result"]
         assert code == 0
         assert rep["statistic"] == pytest.approx(2 * math.log(1.5))
+
+    def test_normal_density_pair_matches_theta_flags(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("value\n" + "".join(f"{0.37 * (i % 7) - 0.4}\n" for i in range(60)))
+        argv = ["--input", str(data), "--emit-path"]
+        _, by_theta, _ = run(capsys, "detect", "--theta0", "0.5", "--theta1", "1.25",
+                             "--sigma", "0.8", *argv)
+        code, by_density, _ = run(capsys, "detect", "--f", "normal:mean=0.5,sigma=0.8",
+                                  "--g", "normal:mean=1.25,sigma=0.8", *argv)
+        assert code == 0
+        assert json.loads(by_density)["result"] == json.loads(by_theta)["result"]
+
+    @pytest.mark.parametrize("f, g, message", [
+        ("normal:mean=0,sigma=1", "table:y=0;1,p=0.5;0.5",
+         "CusumkitError: f and g must be the same density kind"),
+        ("normal:mean=0,sigma=1", "normal:mean=1,sigma=2",
+         "CusumkitError: normal pair requires equal sigma"),
+        ("table:y=0;1,p=0.5;0.5", "table:y=0;2,p=0.5;0.5",
+         "CusumkitError: table pair requires a shared support"),
+        ("normal:mean=0,sigma=1,p=3", "normal:mean=1,sigma=1",
+         "spec 'normal:mean=0,sigma=1,p=3' has unknown field 'p'"),
+        ("normal:mean=0,sigma=1", "normal:mean=1,mean=2,sigma=1",
+         "spec 'normal:mean=1,mean=2,sigma=1' repeats 'mean'"),
+        ("table:y=0;1,p=0.5;0.5,llr", "table:y=0;1,p=0.25;0.75",
+         "spec 'table:y=0;1,p=0.5;0.5,llr' has unknown flag 'llr'"),
+    ], ids=["kinds-differ", "sigmas-differ", "supports-differ", "unknown-field",
+            "repeated-field", "stray-flag"])
+    def test_density_pair_refused(self, capsys, tmp_path, f, g, message):
+        data = tmp_path / "d.csv"
+        data.write_text("1\n")
+        code, out, err = run(capsys, "detect", "--f", f, "--g", g, "--input", str(data))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("f, g", [
         ("normal:mean=0", "normal:mean=1,sigma=1"),
@@ -569,6 +652,25 @@ class TestFigures:
         d_late = rows[400][1] - rows[300][1]
         assert d_late == pytest.approx(d_early, rel=0.05)
 
+    @pytest.mark.parametrize("given, used", [([], 20_000), (["--mc-reps", "3000"], 3000)],
+                             ids=["default", "given"])
+    def test_figure5_echoes_reps_used(self, capsys, given, used):
+        code, out, _ = run(capsys, "figures", "--which", "5", "--n", "5",
+                           "--deltas", "1", "--seed", "0", *given)
+        payload = json.loads(out)
+        want = simulate.mc_quantile_max(models.NormalLLR(1.0), 5, 0.05, used, 0)
+        assert code == 0 and payload["config"]["mc_reps"] == used
+        assert payload["result"]["rows"] == [[1.0, 5, 0.05, *want]]
+
+    @pytest.mark.parametrize("deltas", [",,", "", " , "])
+    def test_deltas_without_a_number_refused(self, capsys, deltas):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figures", "--which", "1", "--n", "5", "--deltas", deltas])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --deltas: expected at least one number, got {deltas!r}\n")
+
     def test_figure4_rows_csv(self, capsys):
         code, out, _ = run(capsys, "figures", "--which", "4", "--deltas", "1",
                            "--ns", "50", "--format", "csv")
@@ -669,6 +771,39 @@ class TestGoldenOutput:
             "detect-monitor-csv"])
     def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
         monkeypatch.setattr("sys.stdin", io.StringIO(_detect_data()))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _discrete_data() -> str:
+    # support points of the table pair below; the last third leans high
+    return "value\n" + "".join(
+        f"{(i * 7919) % 4 if i < 400 else (i * 7919) % 3 + 1}\n" for i in range(600))
+
+
+_PAIR = ["detect", "--f", "table:y=0;1;2;3,p=0.4;0.3;0.2;0.1",
+         "--g", "table:y=0;1;2;3,p=0.1;0.2;0.3;0.4", "--input", "-"]
+
+
+class TestDiscreteGoldenOutput:
+    """Thresholds of finite-support models and detection on a discrete pair,
+    byte for byte; digests recorded as in TestGoldenOutput."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50", "--alpha", "0.05",
+          "--seed", "0"], "aa0e109a2671ccba6de9d9169e6ce0e9386d59ddebd5106b1de01ba1b3189888"),
+        (["threshold", "--model", "table:y=2;-1;0.5,p=0.1;0.6;0.3", "--n", "40",
+          "--alpha", "0.01", "--seed", "0", "--format", "csv"],
+         "d4be34b67ef8027108777b4f75b7182c11c1fd3012d7a6ead552ae880aae08d7"),
+        (_PAIR + ["--emit-path"],
+         "2492d143f54b62e9dc002c14f2ba02b9878a6ed8609f0ce413fb1148c784e954"),
+        (_PAIR + ["--mode", "monitor", "--threshold-variant", "ub2", "--format", "csv"],
+         "f428cd619fcd1f1a6c1ccd9733345abafc5049cda4ef9b00673ee920d8261db7"),
+    ], ids=["threshold-bernoulli", "threshold-table-csv", "detect-pair-scan",
+            "detect-pair-monitor-csv"])
+    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_discrete_data()))
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from cusumkit import models, rng
+from cusumkit import models, moments, rng
 from cusumkit.errors import (
     NoConvergence,
     NoPositiveRoot,
@@ -70,6 +71,18 @@ class TestNormalClosedForms:
     def test_llr_unit_exp_moment(self, nllr):
         assert nllr.mgf(1.0) == pytest.approx(1.0, abs=1e-14)
         assert nllr.is_llr
+
+    def test_mgf_overflow_is_inf(self):
+        m = models.ShiftedNormal(800.0, 1.0)
+        assert m.mgf(1.0) == math.inf
+        assert not m.is_llr
+
+    def test_moments_where_the_sums_underflow(self):
+        # S_k ~ N(-1e160 k, k): Phi and phi of mu / sd underflow, and mu**2
+        # overflows, so the table is exactly 0 rather than inf * 0 = nan
+        table = moments.moment_table(models.ShiftedNormal(-1e160, 1.0), 3)
+        for column in (table.means, table.variances):
+            assert np.isfinite(column).all() and not column.any()
 
 
 class TestLambdaStar:
@@ -338,12 +351,32 @@ class TestValidationAndGrammar:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="values must be finite"):
                 models.DiscreteTable((1.0, bad), (0.5, 0.5))
+        # the square of 1.35e154 overflows float64; that of 1.34e154 does not
+        for delta in (1e200, 1.35e154):
+            with pytest.raises(ValueError, match="delta must have a finite square"):
+                models.NormalLLR(delta)
+        for sigma in (1e160, 1.35e154):
+            with pytest.raises(ValueError, match="sigma must have a finite square"):
+                models.ShiftedNormal(-1.0, sigma)
+        assert models.NormalLLR(1.34e154).is_llr
+        models.ShiftedNormal(-1.0, 1.34e154)
 
     def test_non_llr_discrepancy_rejected(self):
         with pytest.raises(NotAnLLRModel):
             models.ShiftedNormal(-1.0, 1.0).tv_discrepancy()
-        with pytest.raises(NotAnLLRModel):
+        with pytest.raises(NotAnLLRModel, match="^bernoulli-pm:p=0.4"):
             models.BernoulliPM(0.4).tv_discrepancy()
+
+    def test_llr_is_a_property_of_the_law(self, nllr):
+        # the shifted normal N(-1/2, 1) is the law of NormalLLR(1)
+        same = models.ShiftedNormal(-0.5, 1.0)
+        assert same.is_llr
+        assert same.tv_discrepancy() == nllr.tv_discrepancy()
+        # the two-point table at p = 1/(1+e) is BernoulliPM's LLR point,
+        # flagged or not
+        table = models.DiscreteTable((1.0, -1.0), (BERN_LLR_P, 1.0 - BERN_LLR_P))
+        assert table.is_llr
+        assert table.tv_discrepancy() == models.BernoulliPM(BERN_LLR_P).tv_discrepancy()
 
     def test_bernoulli_llr_point(self):
         m = models.BernoulliPM(BERN_LLR_P)
@@ -370,6 +403,20 @@ class TestValidationAndGrammar:
     def test_malformed_specs(self):
         for bad in ("", "normal-llr", "normal-llr:foo=1", "martian:x=1"):
             with pytest.raises(ValueError):
+                models.parse_model(bad)
+        # parts that nothing reads, and repeated parts, are named
+        for bad, message in [
+            ("normal-llr:delta=1,sigma=3", "has unknown field 'sigma'"),
+            ("shifted-normal:a=-1,sigma=1,delta=2", "has unknown field 'delta'"),
+            ("normal-llr:delta=1,delta=2", "repeats 'delta'"),
+            ("bernoulli-pm:p=0.3,foo", "has unknown flag 'foo'"),
+            ("bernoulli-pm:p=0.3,llr", "has unknown flag 'llr'"),
+            ("table:y=1;-1,p=0.4;0.6,llrr", "has unknown flag 'llrr'"),
+            ("table:y=1;-1,p=0.4;0.6,y", "has unknown flag 'y'"),
+            ("table:y=1;-1,p=0.4;0.6,p=0.5;0.5", "repeats 'p'"),
+            ("table:y=1;-1,p=0.4;0.6,llr,llr", "repeats 'llr'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"spec {bad!r} {message}")):
                 models.parse_model(bad)
 
 

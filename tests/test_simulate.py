@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cusumkit import detect, models, moments, rng, simulate
 from cusumkit.errors import (
+    DivergentMoment,
     HorizonExceeded,
     InsufficientReps,
     StateBudgetExceeded,
@@ -116,6 +117,15 @@ class TestAgainstAnalytic:
         )
         exact = moments.cusum_mgf_recursive(m, 1.0, 30).values[30]
         assert abs(res.exp_moment - exact) <= 4 * res.exp_moment_stderr
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exp_lambda_refused(self, nllr, lam):
+        with pytest.raises(ValueError, match=f"^lambda must be finite, got {lam}$"):
+            simulate.simulate_cusum(simulate.SimConfig(nllr, 3, 5, seed=0), exp_lam=lam)
+
+    def test_overflowing_exp_moment_refused(self, nllr):
+        with pytest.raises(DivergentMoment, match="sample exp moment overflows"):
+            simulate.simulate_cusum(simulate.SimConfig(nllr, 3, 5, seed=0), exp_lam=1e300)
 
     def test_invalid_config(self, nllr):
         with pytest.raises(ValueError):
@@ -244,6 +254,10 @@ class TestExactEnumeration:
         with pytest.raises(StateBudgetExceeded):
             simulate.exact_enumerate(m, 40, state_budget=100)
 
+    def test_negative_horizon_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            simulate.exact_enumerate(models.BernoulliPM(0.3), -3)
+
     def test_continuous_rejected(self, nllr):
         with pytest.raises(TypeError, match="requires a finite-support model"):
             simulate.exact_enumerate(nllr, 5)
@@ -311,6 +325,28 @@ class TestStoppingStats:
         assert 0.0 <= stats.p_hat <= 1.0
         assert stats.mean_tau1 >= 1.0
         assert stats.horizon_exceeded == 0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"reps": 0}, "reps must be >= 1, got 0"),
+        ({"max_steps": -5}, "max_steps must be >= 1, got -5"),
+        ({"max_steps": 0}, "max_steps must be >= 1, got 0"),
+        ({"k_zeros": 0}, "k_zeros must be >= 1, got 0"),
+        ({"k_zeros": -3}, "k_zeros must be >= 1, got -3"),
+        ({"h": math.nan}, "h must be >= 0, got nan"),
+        ({"h": -1.0}, "h must be >= 0, got -1"),
+    ], ids=["reps", "max-steps-neg", "max-steps-0", "k-zeros-0", "k-zeros-neg",
+            "h-nan", "h-neg"])
+    def test_bad_arguments_refused_before_any_draw(self, change, message):
+        args = dict(h=2.0, k_zeros=1, reps=5, seed=1, max_steps=100)
+        args.update(change)
+        with mock.patch.object(rng, "substream", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                simulate.stopping_stats(models.ShiftedNormal(-0.5, 1.0), **args)
+
+    def test_tail_threshold_checked_before_any_draw(self):
+        with mock.patch.object(rng, "uniform_block", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="^h must be >= 0, got nan$"):
+                simulate.mc_tail_max(models.BernoulliPM(0.3), 10, math.nan, 100, 1)
 
     def test_horizon_warning(self):
         m = models.ShiftedNormal(-0.01, 1.0)  # long excursions
