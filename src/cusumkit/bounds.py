@@ -131,15 +131,20 @@ def _segment_lower_bound(delta: float, n: int, alpha: float, k: int) -> float:
 
 
 def _fixed_point_k(delta: float, n: int) -> float:
-    # root of x * exp((x + delta^2/2)^2 / (2 delta^2)) = n, solved in logs
-    def f(x: float) -> float:
-        return math.log(x) + (x + delta**2 / 2.0) ** 2 / (2.0 * delta**2) - math.log(n)
+    # root of x * exp((x + delta^2/2)^2 / (2 delta^2)) = n, solved for
+    # u = log x, where the equation reads f(u) = 0 with f increasing.  At
+    # large delta the root x is near n exp(-delta^2 / 8), below every float,
+    # and rounds to 0.0 (segment length 1 below).
+    def f(u: float) -> float:
+        x = math.exp(u)
+        return u + delta**2 / 8.0 + x / 2.0 + (x / delta) ** 2 / 2.0 - math.log(n)
 
-    lo = 1e-9
-    hi = 1.0
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0.0:
+        lo *= 2.0
     while f(hi) < 0.0:
         hi *= 2.0
-    return brentq(f, lo, hi, xtol=1e-12)
+    return math.exp(brentq(f, lo, hi, xtol=1e-12))
 
 
 def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoundDetail:

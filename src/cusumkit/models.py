@@ -50,6 +50,10 @@ _PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
 # dense arrays; wider ones are merged key by key.  No benchmark workload
 # has a lattice near this width, so the value is not tuned.
 _DENSE_MAX_WIDTH = 4096
+# most atoms the sparse sum laws of S_1..S_n may hold in all, by the count
+# of _sparse_sum_laws; a generic 3-atom support reaches it near n = 380,
+# after about 2 s on a 2-core x86-64 host
+_SPARSE_MAX_ATOMS = 10**7
 _MAX_KEY = 2**63  # int64 keys, and every partial sum of them, stay below this
 # draws per slice of the finite-support inverse CDF
 _QUANTILE_SLICE = 1 << 16
@@ -98,6 +102,12 @@ class IncrementModel:
         raise NotImplementedError
 
     @property
+    def can_be_positive(self) -> bool:
+        """P(Y > 0) > 0, decided exactly rather than from a float that may
+        underflow."""
+        return self.prob_positive() > 0.0
+
+    @property
     def is_llr(self) -> bool:
         """True when Y is a log-likelihood-ratio increment: |E exp(Y) - 1|
         <= 1e-9, whatever the kind of model."""
@@ -129,7 +139,7 @@ class IncrementModel:
                 f"mean(Y) = {self.mean():g} >= 0; m(lambda) = 1 has no "
                 "positive root"
             )
-        if self.prob_positive() == 0.0:
+        if not self.can_be_positive:
             raise NoPositiveRoot("P(Y > 0) = 0; m(lambda) < 1 for all lambda > 0")
         root = self._lambda_star_impl()
         residual = abs(self.mgf(root) - 1.0)
@@ -279,6 +289,11 @@ class _NormalBase(IncrementModel):
     def prob_positive(self) -> float:
         return float(ndtr(self.loc / self.scale))
 
+    @property
+    def can_be_positive(self) -> bool:
+        # a normal law charges (0, inf) even where Phi(loc / scale) underflows
+        return True
+
     def tilt_var(self, lam: float) -> float:
         return self.scale**2
 
@@ -326,8 +341,15 @@ class _NormalBase(IncrementModel):
         mu, sd, cdf, pdf = mu[live], sd[live], cdf[live], pdf[live]
         m1 = np.zeros(n)
         m2 = np.zeros(n)
-        m1[live] = mu * cdf + sd * pdf
-        m2[live] = (mu**2 + sd**2) * cdf + mu * sd * pdf
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            m1[live] = mu * cdf + sd * pdf
+            m2[live] = (mu**2 + sd**2) * cdf + mu * sd * pdf
+        bad = ~(np.isfinite(m1) & np.isfinite(m2))
+        if bad.any():
+            raise DivergentMoment(
+                f"E S_k+ or E (S_k+)^2 overflows at k = {bad.argmax() + 1} "
+                f"for {self.spec()}"
+            )
         return m1, m2
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:
@@ -495,6 +517,25 @@ def _dense_sum_laws(lat: Lattice, n: int):
 
 
 def _sparse_sum_laws(lat: Lattice, n: int):
+    """Laws of S_1..S_n, merged atom by atom.
+
+    Raises TooLarge before any work when they could hold more than
+    _SPARSE_MAX_ATOMS atoms in all: S_k has at most one atom per
+    composition of k into one part per support atom, C(k+s-1, s-1) for s
+    atoms, and at most one per point k*lo + g*i, i = 0..k*span.
+    """
+    atoms = 0
+    for k in range(1, n + 1):
+        atoms += min(math.comb(k + lat.keys.size - 1, k), k * lat.span + 1)
+        if atoms > _SPARSE_MAX_ATOMS:
+            raise TooLarge(
+                f"the sparse sum laws of {n} steps over {lat.keys.size} atoms "
+                f"may hold over {_SPARSE_MAX_ATOMS:.0e} atoms"
+            )
+    return _merged_sum_laws(lat, n)
+
+
+def _merged_sum_laws(lat: Lattice, n: int):
     keys = np.zeros(1, dtype=np.int64)
     probs = np.ones(1)
     for _ in range(n):

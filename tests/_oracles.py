@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: numeric quadrature for normal
-expectations, exhaustive path enumeration for discrete walks, double
-loops for maxima, one ``max`` per monitor step, one parse per data
-line and one formatting call per output value.  The production code must
+expectations, exhaustive path enumeration for discrete walks, one dot
+product per term of the convolution recursion, double loops for maxima,
+one ``max`` per monitor step, one parse per data line and one formatting
+call per output value.  The production code must
 match these, never the other way around.
 """
 
@@ -51,6 +52,18 @@ def quad_one_minus_exp_pos(mu, sd, lam):
         -np.inf,
         0.0,
     )[0]
+
+
+def convolution_recursion_loop(x):
+    """Given x[0..N-1] = x_1..x_N, return b[0..N] with b_0 = 1 and
+    b_{n+1} = (1/(n+1)) sum_{k<=n} b_k x_{n-k+1}, one term at a time in
+    O(N^2)."""
+    n_terms = x.shape[0]
+    b = np.empty(n_terms + 1)
+    b[0] = 1.0
+    for n in range(n_terms):
+        b[n + 1] = np.dot(b[: n + 1], x[n::-1]) / (n + 1)
+    return b
 
 
 def enumerate_paths(support, probs, n):

@@ -68,6 +68,17 @@ class TestUpperThresholds:
         with pytest.raises(ValueError):
             bounds.threshold_ub(nllr, 10, 0.05, "ub9")
 
+    def test_normal_llr_delta_80_lambda_star_is_one(self):
+        # P(Y > 0) = Phi(-40) underflows to 0.0, yet lambda* = 1 exactly
+        m = models.NormalLLR(80.0)
+        assert m.prob_positive() == 0.0
+        assert m.lambda_star() == 1.0
+        got = {v: bounds.threshold_ub(m, 10, 0.05, v) for v in ("ub1", "ub2", "ub3")}
+        assert all(map(math.isfinite, got.values()))
+        # x_k = 2 Phi(40 sqrt(k)) = 2, so M_n = n + 1 and D = 1: all three agree
+        for v in ("ub1", "ub3"):
+            assert got[v] == pytest.approx(got["ub2"], rel=1e-12)
+
     @pytest.mark.parametrize("variant", ["ub1", "ub2", "ub3"])
     def test_negative_horizon_refused(self, nllr, variant):
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
@@ -91,6 +102,12 @@ class TestLowerThresholds:
         assert x * math.exp((x + d**2 / 2) ** 2 / (2 * d**2)) == pytest.approx(
             n, rel=1e-9
         )
+
+    def test_fixed_point_below_every_float_rounds_to_zero(self):
+        # the root is near n exp(-delta^2 / 8) = 10 exp(-800)
+        detail = bounds.lower_bound_detail(models.NormalLLR(80.0), 10, 0.05)
+        assert detail.fixed_point_k == 0.0
+        assert detail.lb_at_fixed_point == detail.lb2 == detail.lb1
 
     def test_normal_only(self):
         with pytest.raises(NotSupportedModel):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 from cusumkit import cli, models, moments, simulate
 from cusumkit.errors import CusumkitError
 
-from _oracles import csv_rows, json_fragment, read_values_per_line
+from _oracles import (
+    convolution_recursion_loop,
+    csv_rows,
+    json_fragment,
+    read_values_per_line,
+)
 
 
 def run(capsys, *argv):
@@ -231,6 +237,34 @@ class TestNanParameters:
         result = json.loads(out)["result"]
         assert code == 0 and result["new_alarms"] == []
         assert result["running_max"] == 13.5
+
+
+class TestMathRunsOut:
+    """Models at the edge of float range: a typed answer or a typed refusal."""
+
+    @pytest.mark.parametrize("spec, n", [
+        ("shifted-normal:a=-1,sigma=1e154", "4"),
+        ("shifted-normal:a=1e160,sigma=1", "3"),
+    ], ids=["a=-1,sigma=1e154", "a=1e160,sigma=1"])
+    def test_overflowing_moments_refused(self, capsys, spec, n):
+        code, out, err = run(capsys, "moments", "--model", spec, "--n", n)
+        assert code == 1 and out == ""
+        assert err.startswith("error: DivergentMoment: ") and "\n" not in err.rstrip()
+
+    def test_normal_llr_delta_80_threshold(self, capsys):
+        code, out, _ = run(capsys, "threshold", "--model", "normal-llr:delta=80",
+                           "--n", "10", "--alpha", "0.05")
+        rep = json.loads(out)["result"]
+        assert code == 0
+        assert all(math.isfinite(rep[v]) for v in ("ub1", "ub2", "ub3", "lb1", "lb2"))
+
+    def test_sparse_sum_law_budget_refuses_detect_fast(self, capsys, monkeypatch):
+        data = "".join(f"{i % 4}\n" for i in range(3000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        start = time.perf_counter()
+        code, _, err = run(capsys, *_PAIR, "--threshold-variant", "ub1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and err.startswith("error: TooLarge: the sparse sum laws")
 
 
 class TestNumericPayloads:
@@ -741,14 +775,17 @@ class TestGoldenOutput:
     Digests were recorded with the per-value writer (tests/_oracles.py's
     json_fragment and csv_cell), numpy 2.4.6 and scipy 1.17.1; the detect
     data come on standard input, so the echoed configuration holds no path.
+    fig1, fig3 and mgf-recursive print M_n to 17 digits and were recorded
+    again for the blocked convolution engine; TestRecursionOracleGolden
+    keeps the digests of the term-by-term loop.
     """
 
     @pytest.mark.parametrize("argv, digest", [
-        (["figures", "--which", "1", "--n", "200"], "ca00ee1c55cdf8a5ed7e446e159cd8b9ee3e9fc3c0a5b903c2ec0a1dbd46aa70"),
+        (["figures", "--which", "1", "--n", "200"], "d267710098d90a7a35f6ba84403ef02e9065ca287ab0d4266cd9a9e88840c06c"),
         (["figures", "--which", "2", "--n", "200"], "30c1491f74512cff8ff4d42c9a9001f105d1f0f5db132c83f5d7f138ef5ac5f5"),
-        (["figures", "--which", "3", "--n", "200"], "b17219252bc720395c3147d65637530dd2cc2486998d1ed2edf38cb310d1bfb5"),
+        (["figures", "--which", "3", "--n", "200"], "429b3e0665b459dd401646c74b11ad9c8089fa26642d00dc3fa3d0a6dd7d250e"),
         (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
-        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "f1b29c5dd214712616dd7c3bdd603c4aab6f3898701aab4869102233b8861ecc"),
+        (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "c06cd4d2770a1fcc8c21979bc032fc4c5ae50f3aff51e2e7bd409a36907229cb"),
         (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
           "--method", "matrix"], "794be847f64fc97986015fcdc0f9c2ee5479c31db563117bea2c1dad6f76743a"),
         (_DETECT, "a37af0e13c008188b85c6bf15c280ffff4ae0869a20dcbd2c062df3397be0f13"),
@@ -788,11 +825,13 @@ _PAIR = ["detect", "--f", "table:y=0;1;2;3,p=0.4;0.3;0.2;0.1",
 
 class TestDiscreteGoldenOutput:
     """Thresholds of finite-support models and detection on a discrete pair,
-    byte for byte; digests recorded as in TestGoldenOutput."""
+    byte for byte; digests recorded as in TestGoldenOutput.
+    threshold-bernoulli prints ub1 to 17 digits and was recorded again for
+    the blocked convolution engine, as in TestGoldenOutput."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50", "--alpha", "0.05",
-          "--seed", "0"], "aa0e109a2671ccba6de9d9169e6ce0e9386d59ddebd5106b1de01ba1b3189888"),
+          "--seed", "0"], "05be37eab56b97c8faf4c79e8639b18d97d0ddeb71d575af77557a29682967ec"),
         (["threshold", "--model", "table:y=2;-1;0.5,p=0.1;0.6;0.3", "--n", "40",
           "--alpha", "0.01", "--seed", "0", "--format", "csv"],
          "d4be34b67ef8027108777b4f75b7182c11c1fd3012d7a6ead552ae880aae08d7"),
@@ -807,3 +846,65 @@ class TestDiscreteGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_MGF_OUTPUTS = [
+    (["figures", "--which", "1", "--n", "200"], _detect_data,
+     "ca00ee1c55cdf8a5ed7e446e159cd8b9ee3e9fc3c0a5b903c2ec0a1dbd46aa70"),
+    (["figures", "--which", "3", "--n", "200"], _detect_data,
+     "b17219252bc720395c3147d65637530dd2cc2486998d1ed2edf38cb310d1bfb5"),
+    (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"],
+     _detect_data, "f1b29c5dd214712616dd7c3bdd603c4aab6f3898701aab4869102233b8861ecc"),
+    (["threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50", "--alpha", "0.05",
+      "--seed", "0"], _discrete_data,
+     "aa0e109a2671ccba6de9d9169e6ce0e9386d59ddebd5106b1de01ba1b3189888"),
+]
+_MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli"]
+
+
+def _same_but_numbers(got, want, where="result"):
+    """Equal structure and strings; numbers equal within 1e-13 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _same_but_numbers(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_but_numbers(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+class TestRecursionOracleGolden:
+    """The outputs whose digests moved with the blocked convolution engine.
+
+    Through the term-by-term loop of tests/_oracles.py they keep the bytes
+    recorded before the engine; through the engine they differ from those
+    only in the last digits of numbers.
+    """
+
+    @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)
+    def test_loop_reproduces_earlier_digest(self, capsys, monkeypatch, argv, data,
+                                            digest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(data()))
+        monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)
+    def test_engine_differs_only_in_numbers(self, capsys, monkeypatch, argv, data,
+                                            digest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(data()))
+        code, engine_out, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(data()))
+        monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        code, loop_out, _ = run(capsys, *argv)
+        assert code == 0
+        assert engine_out != loop_out
+        _same_but_numbers(json.loads(engine_out), json.loads(loop_out))

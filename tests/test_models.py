@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from unittest import mock
 
 import numpy as np
@@ -284,6 +285,29 @@ class TestDiscreteSums:
         np.testing.assert_array_equal(
             probs, list(models.BernoulliPM(0.4).sum_distributions(150))[-1][1]
         )
+
+    def test_sparse_sum_law_budget_refuses_fast(self):
+        # log-likelihood ratios of a 4-point pair: S_k may hold C(k+3, 3)
+        # atoms, so 3 000 steps could hold about 3e12 of them
+        f, g = (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)
+        m = models.DiscreteTable(tuple(math.log(b / a) for a, b in zip(f, g)), f)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="sparse sum laws of 3000 steps"):
+            m.rectified_exp_seq(1.0, 3000)
+        with pytest.raises(TooLarge):
+            m.sum_distributions(3000).__next__()
+        assert time.perf_counter() - start < 1.0
+        # a horizon within the budget still runs
+        assert len(list(m.sum_distributions(100))) == 100
+
+    def test_sparse_atom_count_uses_the_lattice_span(self):
+        # five atoms on a 4 205-step integer lattice: from k = 45 on, the
+        # compositions of k outnumber the k * 4205 + 1 lattice points
+        m = models.DiscreteTable((4200.0, -1.0, -2.0, -3.0, -5.0),
+                                 (0.1, 0.3, 0.2, 0.2, 0.2))
+        assert m.lattice().width > models._DENSE_MAX_WIDTH
+        assert math.comb(65 + 5, 5) - 1 > models._SPARSE_MAX_ATOMS
+        assert len(list(m.sum_distributions(65))) == 65
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cusumkit import bounds, models, moments
 from cusumkit.errors import DivergentMoment, FormulaMismatch, TooLarge
 
-from _oracles import path_mean_var_mgf
+from _oracles import convolution_recursion_loop, path_mean_var_mgf
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
 
@@ -102,6 +104,64 @@ class TestCrossMethodIdentity:
         assert moments.cusum_mean(nllr, 0).tolist() == [0.0]
 
 
+@st.composite
+def _increment_models(draw):
+    """Normal and lattice models with a negative mean and P(Y > 0) > 0."""
+    kind = draw(st.sampled_from(["normal-llr", "shifted-normal", "bernoulli", "table"]))
+    if kind == "normal-llr":
+        return models.NormalLLR(draw(st.floats(0.1, 5.0)))
+    if kind == "shifted-normal":
+        return models.ShiftedNormal(draw(st.floats(-2.0, -0.05)), draw(st.floats(0.3, 3.0)))
+    if kind == "bernoulli":
+        return models.BernoulliPM(draw(st.floats(0.05, 0.45)))
+    values = draw(st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                            max_size=len(values)))
+    probs = tuple(w / sum(weights) for w in weights)
+    if max(values) <= 0 or np.dot(values, probs) >= 0.0:
+        reject()
+    return models.DiscreteTable(tuple(map(float, values)), probs)
+
+
+class TestConvolutionEngine:
+    """The blocked forward substitution against the term-by-term loop."""
+
+    @given(model=_increment_models(), factor=st.floats(0.3, 1.2),
+           n=st.integers(0, 600))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop(self, model, factor, n):
+        lam = factor * models.cached_lambda_star(model)
+        try:
+            xs = model.rectified_exp_seq(lam, n)
+        except DivergentMoment:
+            reject()
+        want = convolution_recursion_loop(xs)
+        if not np.isfinite(want).all():
+            reject()
+        np.testing.assert_allclose(moments.convolution_recursion(xs), want,
+                                   rtol=1e-13, atol=0.0)
+        # asymptote_slope's inputs x_k - 2 have both signs, and b_n may
+        # cancel to far below its terms; each b_n is then held to 1e-13 of
+        # the sum of its terms' magnitudes, which is b_n of the inputs |x_k - 2|
+        mixed = xs - 2.0
+        scale = convolution_recursion_loop(np.abs(mixed))
+        if not np.isfinite(scale).all():
+            reject()
+        gap = np.abs(moments.convolution_recursion(mixed) - convolution_recursion_loop(mixed))
+        assert np.all(gap <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 257, 600])
+    def test_block_edges(self, nllr, n):
+        xs = nllr.rectified_exp_seq(1.0, n)
+        np.testing.assert_allclose(moments.convolution_recursion(xs),
+                                   convolution_recursion_loop(xs), rtol=1e-13, atol=0.0)
+
+    def test_constant_inputs_give_binomial_coefficients(self):
+        # x_k = 2 for every k gives b_n = n + 1 exactly
+        b = moments.convolution_recursion(np.full(300, 2.0))
+        np.testing.assert_array_equal(b, np.arange(1.0, 302.0))
+
+
 class TestLatticeOverflow:
     """exp(lambda* S_k+) leaves the float range on the upper tail of S_k
     while x_k = E exp(lambda* S_k+) stays at most 2."""
@@ -156,6 +216,26 @@ class TestLatticeOverflow:
         # x_k itself exceeds the float range well before k = 2000
         with pytest.raises(DivergentMoment):
             models.BernoulliPM(0.27).rectified_exp_seq(3.0, 2000)
+
+
+class TestNormalMomentOverflow:
+    """Rectified moments of k-step sums that leave the float range are
+    refused, not returned as inf or NaN."""
+
+    def test_shifted_normal_a_minus_1_sigma_1e154(self):
+        # E (S_4+)^2 is about 2 sigma^2 = 2e308, beyond the float range
+        with pytest.raises(DivergentMoment, match="sigma=1e"):
+            moments.moment_table(models.ShiftedNormal(-1.0, 1e154), 4)
+
+    def test_shifted_normal_a_1e160_sigma_1(self):
+        # E (S_1+)^2 is about a^2 = 1e320
+        with pytest.raises(DivergentMoment, match="k = 1 "):
+            moments.moment_table(models.ShiftedNormal(1e160, 1.0), 3)
+
+    def test_finite_moments_below_the_edge(self):
+        table = moments.moment_table(models.ShiftedNormal(-1.0, 1e152), 3)
+        assert np.isfinite(table.variances).all()
+        assert np.isfinite(table.recursion_gap)
 
 
 class TestVarianceRecursionDiagnostic:
