@@ -7,6 +7,15 @@ m(lambda*) = 1, the Cramer rate function I(x), the moments of rectified
 partial sums S_n+ = max(S_n, 0), and the total-variation discrepancy of
 log-likelihood-ratio increments.
 
+Finite supports take their rectified sums E f(S_k), k = 1..n, from one
+engine, _sum_law_means.  On a dense lattice it works in blocks of
+b = _BLOCK_WIDTH // (span + 1) steps (see _block_steps): per weight f, a
+correlation of the pmf of S_k0 with f gives the terms every S_k0+j of the
+block needs, a small matvec with the pmfs of S_1..S_b finishes them, and
+one convolution moves the pmf on by b steps.  The per-step loops it
+replaced are the test oracles rectified_exp_seq_loop and
+rectified_moment_seq_loop (tests/_oracles.py).
+
 Conventions: normal kinds are parameterized by (mean, standard deviation),
 not variance.  NormalLLR(delta) is Y ~ Normal(-delta^2/2, delta), the
 log-likelihood-ratio increment for a standardized mean shift of size delta.
@@ -46,10 +55,16 @@ _PROB_TOL = 1e-12
 _ROOT_TOL = 1e-12
 _GRID = 1e-12  # finite supports are keyed by the integers round(y / _GRID)
 _PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
-# widest lattice (in steps of the key gcd, 0 included) whose sum laws are
-# dense arrays; wider ones are merged key by key.  No benchmark workload
-# has a lattice near this width, so the value is not tuned.
+# widest lattice (in steps of the key gcd, 0 included) whose sum laws, and
+# the rectified sums of _sum_law_means, run on dense arrays; wider ones are
+# merged key by key, one step at a time.  No benchmark workload has a
+# lattice near this width, so the value is not tuned.
 _DENSE_MAX_WIDTH = 4096
+# lattice points that one block of the dense sum-law engine covers: a block
+# runs _BLOCK_WIDTH // (span + 1) steps (BernoulliPM 64, a five-point
+# integer table 25), so lattices 128 or more steps wide take one step per
+# block; _block_steps gives the rule in full
+_BLOCK_WIDTH = 128
 # most atoms the sparse sum laws of S_1..S_n may hold in all, by the count
 # of _sparse_sum_laws; a generic 3-atom support reaches it near n = 380,
 # after about 2 s on a 2-core x86-64 host
@@ -488,32 +503,179 @@ def _merge_atoms(keys: tuple[np.ndarray, ...], mass: np.ndarray):
     return tuple(k[starts] for k in keys), np.add.reduceat(mass[order], starts)
 
 
-def _sum_laws(lat: Lattice, n: int):
-    """Laws of S_1..S_n on lat: dense when the lattice is at most
-    _DENSE_MAX_WIDTH steps wide, else sparse."""
+def _dense(lat: Lattice, n: int) -> bool:
+    """Whether the sum laws of n steps on lat run on dense arrays: when the
+    lattice is at most _DENSE_MAX_WIDTH steps wide.  Raises TooLarge first
+    when their keys could leave int64."""
     lat.check_horizon(n)
-    if lat.width <= _DENSE_MAX_WIDTH:
-        return _dense_sum_laws(lat, n)
-    return _sparse_sum_laws(lat, n)
+    return lat.width <= _DENSE_MAX_WIDTH
+
+
+def _sum_laws(lat: Lattice, n: int):
+    """Laws of S_1..S_n on lat, dense or sparse as _dense decides."""
+    return _dense_sum_laws(lat, n) if _dense(lat, n) else _sparse_sum_laws(lat, n)
+
+
+def _step_pmf(lat: Lattice) -> np.ndarray:
+    """The pmf of one step over lo + g*i, i = 0..span."""
+    return np.bincount((lat.keys - lat.lo) // lat.g, weights=lat.probs,
+                       minlength=lat.span + 1)
+
+
+def _value_planes(lat: Lattice, n: int) -> tuple[np.ndarray, int]:
+    """The values of the multiples of d from n*min(lo, 0) to n*max(hi, 0),
+    as read-only planes[r, m] = the value of grid index r + (g/d)*m, and
+    the key of the first.
+
+    The values of S_k, k <= n, are one contiguous slice of one plane:
+    planes[r, q : q + span*k + 1] with (q, r) = divmod((k*lo - base) // d,
+    g // d).  The grid counts in units of d, so no entry exceeds a partial
+    sum, and the last column repeats the last value where the grid runs
+    out.
+    """
+    base = n * min(lat.lo, 0)
+    stride = lat.g // lat.d
+    cols = -(-(n * lat.width + 1) // stride)
+    index = np.arange(stride)[:, None] + stride * np.arange(cols)
+    planes = lat.d * (base // lat.d + np.minimum(index, n * lat.width)) * _GRID
+    planes.setflags(write=False)
+    return planes, base
 
 
 def _dense_sum_laws(lat: Lattice, n: int):
     # S_k is a pmf over k*lo + g*i, i = 0..span*k, one convolution per step
-    step = np.bincount((lat.keys - lat.lo) // lat.g, weights=lat.probs,
-                       minlength=lat.span + 1)
-    # the values of every S_k are strided views of one grid of multiples
-    # of d, so no step computes values; the grid counts in units of d, so
-    # no entry exceeds a partial sum and its length is exact in float64
-    base = n * min(lat.lo, 0)
-    grid = lat.d * np.arange(base // lat.d, base // lat.d + n * lat.width + 1,
-                             dtype=np.int64) * _GRID
-    grid.setflags(write=False)
-    stride = lat.g // lat.d
+    step = _step_pmf(lat)
+    planes, base = _value_planes(lat, n)
     probs = np.ones(1)
     for k in range(1, n + 1):
         probs = np.convolve(probs, step)
-        start = (k * lat.lo - base) // lat.d
-        yield grid[start : start + stride * lat.span * k + 1 : stride], probs
+        q, r = divmod((k * lat.lo - base) // lat.d, planes.shape[0])
+        yield planes[r, q : q + probs.size], probs
+
+
+def _sum_law_means(lat: Lattice, n: int, weights) -> np.ndarray:
+    """E f(S_k) for k = 1..n, one row per function f in weights.
+
+    Each f maps an array of values to their weights.  Dense lattices (see
+    _dense) run the blocked engine; wider ones take one dot product per
+    step with the sparse laws.
+    """
+    if _dense(lat, n):
+        return _dense_sum_law_means(lat, n, weights)
+    out = np.empty((len(weights), n))
+    for k, (vals, probs) in enumerate(_sparse_sum_laws(lat, n)):
+        for r, f in enumerate(weights):
+            out[r, k] = np.dot(f(vals), probs)
+    return out
+
+
+def _block_steps(lat: Lattice) -> int:
+    """Steps per block of _dense_sum_law_means: _BLOCK_WIDTH // (span + 1).
+
+    The grid offsets j*lo/d of a block's steps fall into P residue classes
+    mod g/d, and each class reads its own correlation over the whole
+    block, so a step costs about P*(span + 1) correlation terms.  When
+    P*P exceeds the block, a class holds fewer than P of its steps, and
+    one step per block (one convolution and one correlation of length 1,
+    a dot product) costs less.
+    """
+    stride = lat.g // lat.d
+    steps = max(1, _BLOCK_WIDTH // (lat.span + 1))
+    return 1 if (stride // math.gcd(lat.lo // lat.d, stride)) ** 2 > steps else steps
+
+
+def _dense_sum_law_means(lat: Lattice, n: int, weights) -> np.ndarray:
+    """E f(S_k) on a dense lattice, b = _block_steps(lat) steps per block.
+
+    Each f is tabulated once on the value planes.  A block starts from the
+    pmf p of S_k0.  Per f, one correlation per residue class gives
+    c[e] = sum_i p[i] f(k0*lo + g*i + e) at the offsets e = j*lo + g*u the
+    block needs; E f(S_{k0+j}) = sum_u T_j[u] c[j*lo + g*u], j = 0..b-1, is
+    then one small matvec with the pmfs T_j of S_j, built once; and one
+    convolution gives the pmf p * T_b of S_{k0+b}.  With b = 1 this is one
+    dot product and one convolution per step.  The correlations skip the
+    terms where f is 0.
+    """
+    out = np.empty((len(weights), n))
+    if n == 0:
+        return out
+    planes, base = _value_planes(lat, n)
+    stride = planes.shape[0]
+    tables = [f(planes) for f in weights]
+    # the first and last column where each plane of each f is not 0: the
+    # correlations skip the rest
+    bounds = []
+    for table in tables:
+        live = table != 0.0
+        found = live.any(axis=1)
+        first = np.where(found, live.argmax(axis=1), table.shape[1])
+        last = np.where(found, table.shape[1] - 1 - live[:, ::-1].argmax(axis=1), -1)
+        bounds.append(list(zip(first.tolist(), last.tolist())))
+    step = _step_pmf(lat)
+    rows = min(_block_steps(lat), n)
+    laws = [np.ones(1)]  # laws[j] is the pmf of S_j
+    for _ in range(rows):
+        laws.append(np.convolve(laws[-1], step))
+    sums = np.zeros((rows, 1, (rows - 1) * lat.span + 1))  # T_j as 1-row matrices
+    for j in range(rows):
+        sums[j, 0, : laws[j].size] = laws[j]
+    probs = laws[1]
+    for k0 in range(1, n + 1, rows):
+        m = min(rows, n + 1 - k0)
+        if k0 == 1 or m < rows:
+            groups, index = _block_plan(lat, m, sums.shape[2])
+        start = (k0 * lat.lo - base) // lat.d  # grid index of min S_k0
+        for row, table, nz in zip(out, tables, bounds):
+            parts = []
+            for t, first, count in groups:
+                shift, r = divmod(start + t, stride)
+                i0 = shift + first
+                # c[e] = sum_i p[i] table[r, i0 + e + i] for e < count, over
+                # the i where some table[r, i0 + e + i] is not 0
+                lo = max(0, nz[r][0] - i0 - count + 1)
+                hi = min(probs.size, nz[r][1] - i0 + 1)
+                if lo < hi:
+                    view = table[r, i0 + lo : i0 + hi + count - 1]
+                    parts.append(np.correlate(view, probs[lo:hi], "valid"))
+                else:
+                    parts.append(np.zeros(count))
+            c = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # entries past a row's last u meet T_j = 0; "clip" keeps them in
+            # c.  One dot product per row, as a stack of 1 x K by K x 1
+            # matrix products: np.vecdot would need NumPy 2.
+            terms = c.take(index, mode="clip")[:, :, None]
+            row[k0 - 1 : k0 - 1 + m] = np.matmul(sums[:m], terms)[:, 0, 0]
+        if k0 + rows <= n:
+            probs = np.convolve(probs, laws[rows])
+    return out
+
+
+def _block_plan(lat: Lattice, rows: int, cols: int):
+    """Where a block of _dense_sum_law_means reads its correlations.
+
+    The grid index of min S_{k0+j} is start + j*lo/d.  The offsets j*lo/d
+    fall into groups by their residue t mod g/d; the offsets of a group
+    are t + (g/d)*w_j, and its correlation covers w from first to
+    first + count - 1, enough for u = 0..j*span.  Returns the groups as
+    (t, first, count), and index[j, u], the position of c[j*lo + g*u] in
+    the groups' correlations laid end to end.  Neither depends on k0.
+    """
+    stride = lat.g // lat.d
+    offsets = np.arange(rows) * (lat.lo // lat.d)
+    residues = offsets % stride
+    w = (offsets - residues) // stride
+    reach = w + np.arange(rows) * lat.span
+    groups = []
+    index = np.empty((rows, cols), dtype=np.intp)
+    filled = 0  # correlation entries of the groups before this one
+    for t in np.unique(residues):
+        sel = residues == t
+        first = int(w[sel].min())
+        count = int(reach[sel].max()) - first + 1
+        index[sel] = filled + (w[sel] - first)[:, None] + np.arange(cols)
+        groups.append((int(t), first, count))
+        filled += count
+    return groups, index
 
 
 def _sparse_sum_laws(lat: Lattice, n: int):
@@ -632,43 +794,36 @@ class _DiscreteBase(IncrementModel):
         Values ascend and are keys * _GRID.  Lattices at most
         _DENSE_MAX_WIDTH steps wide give dense pmfs that may hold zero
         masses, read-only values and no pruning; wider ones give only the
-        atoms with mass >= 1e-300.
+        atoms with mass >= 1e-300.  The rectified sums below do not go
+        through it: they take E f(S_k) from _sum_law_means.
         """
         yield from _sum_laws(self.lattice(), n)
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         lat = self.lattice()
-        out = np.empty(n)
         if lam * max(lat.hi, 0) * _GRID * n <= _SAFE_EXPO:
-            for k, (vals, probs) in enumerate(self.sum_distributions(n)):
-                out[k] = np.dot(np.exp(lam * np.maximum(vals, 0.0)), probs)
-            return out
+            return _sum_law_means(lat, n, [lambda v: np.exp(lam * np.maximum(v, 0.0))])[0]
         # Larger lam * S_k: x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0), where
         # Q is the law of S_k under steps tilted by lam.  exp(lam * S_k) is
         # never formed: where it overflows, the masses it would weigh
         # underflow, while Q keeps those atoms at the size they contribute.
         tilted, log_m = lat.tilted(lam)
-        laws = zip(self.sum_distributions(n), _sum_laws(tilted, n))
-        for k, ((vals, probs), (tvals, tprobs)) in enumerate(laws, start=1):
-            x = float(probs[: vals.searchsorted(0.0, "right")].sum())
-            above = tprobs[tvals.searchsorted(0.0, "right") :].sum()
-            if above > 0.0:
-                expo = k * log_m + math.log(above)
-                if expo > _MAX_EXPO:
-                    raise DivergentMoment(
-                        f"E exp(lam * S_{k}+) overflows at lam = {lam:g}"
-                    )
-                x += math.exp(expo)
-            out[k - 1] = x
-        return out
+        below = _sum_law_means(lat, n, [lambda v: (v <= 0.0).astype(float)])[0]
+        above = _sum_law_means(tilted, n, [lambda v: (v > 0.0).astype(float)])[0]
+        with np.errstate(divide="ignore"):  # Q(S_k > 0) = 0 adds nothing
+            expo = np.arange(1, n + 1) * log_m + np.log(above)
+        over = expo > _MAX_EXPO
+        if over.any():
+            raise DivergentMoment(
+                f"E exp(lam * S_{over.argmax() + 1}+) overflows at lam = {lam:g}"
+            )
+        return below + np.exp(expo)
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        m1 = np.empty(n)
-        m2 = np.empty(n)
-        for k, (vals, probs) in enumerate(self.sum_distributions(n)):
-            pos = np.maximum(vals, 0.0)
-            m1[k] = np.dot(pos, probs)
-            m2[k] = np.dot(pos * pos, probs)
+        m1, m2 = _sum_law_means(self.lattice(), n, [
+            lambda v: np.maximum(v, 0.0),
+            lambda v: np.square(np.maximum(v, 0.0)),
+        ])
         return m1, m2
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:

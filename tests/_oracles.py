@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: numeric quadrature for normal
 expectations, exhaustive path enumeration for discrete walks, one dot
-product per term of the convolution recursion, double loops for maxima,
-one ``max`` per monitor step, one parse per data line and one formatting
-call per output value.  The production code must
-match these, never the other way around.
+product per term of the convolution recursion, one exp and one dot
+product per step of the rectified sums of a finite support, double loops
+for maxima, one ``max`` per monitor step, one parse per data line and one
+formatting call per output value.  The production code must match these,
+never the other way around.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from cusumkit.errors import CusumkitError
+from cusumkit import models
+from cusumkit.errors import CusumkitError, DivergentMoment
 
 
 def normal_pdf(x, mu, sd):
@@ -64,6 +66,44 @@ def convolution_recursion_loop(x):
     for n in range(n_terms):
         b[n + 1] = np.dot(b[: n + 1], x[n::-1]) / (n + 1)
     return b
+
+
+def rectified_exp_seq_loop(model, lam, n):
+    """x_k = E exp(lam * S_k+) of a finite-support model, k = 1..n, with one
+    exp and one dot product per step over the laws of sum_distributions."""
+    lat = model.lattice()
+    out = np.empty(n)
+    if lam * max(lat.hi, 0) * models._GRID * n <= models._SAFE_EXPO:
+        for k, (vals, probs) in enumerate(model.sum_distributions(n)):
+            out[k] = np.dot(np.exp(lam * np.maximum(vals, 0.0)), probs)
+        return out
+    # x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0), Q the law under tilted steps
+    tilted, log_m = lat.tilted(lam)
+    laws = zip(model.sum_distributions(n), models._sum_laws(tilted, n))
+    for k, ((vals, probs), (tvals, tprobs)) in enumerate(laws, start=1):
+        x = float(probs[: vals.searchsorted(0.0, "right")].sum())
+        above = tprobs[tvals.searchsorted(0.0, "right") :].sum()
+        if above > 0.0:
+            expo = k * log_m + math.log(above)
+            if expo > models._MAX_EXPO:
+                raise DivergentMoment(
+                    f"E exp(lam * S_{k}+) overflows at lam = {lam:g}"
+                )
+            x += math.exp(expo)
+        out[k - 1] = x
+    return out
+
+
+def rectified_moment_seq_loop(model, n):
+    """E S_k+ and E (S_k+)^2 of a finite-support model, k = 1..n, with two
+    dot products per step over the laws of sum_distributions."""
+    m1 = np.empty(n)
+    m2 = np.empty(n)
+    for k, (vals, probs) in enumerate(model.sum_distributions(n)):
+        pos = np.maximum(vals, 0.0)
+        m1[k] = np.dot(pos, probs)
+        m2[k] = np.dot(pos * pos, probs)
+    return m1, m2
 
 
 def enumerate_paths(support, probs, n):

@@ -19,6 +19,8 @@ from _oracles import (
     csv_rows,
     json_fragment,
     read_values_per_line,
+    rectified_exp_seq_loop,
+    rectified_moment_seq_loop,
 )
 
 
@@ -776,8 +778,9 @@ class TestGoldenOutput:
     json_fragment and csv_cell), numpy 2.4.6 and scipy 1.17.1; the detect
     data come on standard input, so the echoed configuration holds no path.
     fig1, fig3 and mgf-recursive print M_n to 17 digits and were recorded
-    again for the blocked convolution engine; TestRecursionOracleGolden
-    keeps the digests of the term-by-term loop.
+    again for the blocked convolution engine, and mgf-matrix for the
+    blocked sum-law engine; TestRecursionOracleGolden keeps the digests of
+    the loops they replaced.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -787,7 +790,7 @@ class TestGoldenOutput:
         (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
         (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "c06cd4d2770a1fcc8c21979bc032fc4c5ae50f3aff51e2e7bd409a36907229cb"),
         (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
-          "--method", "matrix"], "794be847f64fc97986015fcdc0f9c2ee5479c31db563117bea2c1dad6f76743a"),
+          "--method", "matrix"], "415ccdc3b3a59445addf98c1e066ca1b34dbd3a1b833bec0c4bf877b818ca184"),
         (_DETECT, "a37af0e13c008188b85c6bf15c280ffff4ae0869a20dcbd2c062df3397be0f13"),
         (_DETECT + ["--mode", "monitor", "--threshold-variant", "custom", "--h", "3"], "f994076aa07cef0a3b386f5021dc5a8929b06aa67f088e92e190fba6a7ff3680"),
         (["figures", "--which", "1", "--n", "200", "--format", "csv"], "0b3ca73be2404669c9ccbd1a92094278d40e1da30e4770a58b902d1cb0ad36c2"),
@@ -858,8 +861,33 @@ _MGF_OUTPUTS = [
     (["threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50", "--alpha", "0.05",
       "--seed", "0"], _discrete_data,
      "aa0e109a2671ccba6de9d9169e6ce0e9386d59ddebd5106b1de01ba1b3189888"),
+    (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
+      "--method", "matrix"], _detect_data,
+     "794be847f64fc97986015fcdc0f9c2ee5479c31db563117bea2c1dad6f76743a"),
 ]
-_MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli"]
+_MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli", "mgf-matrix"]
+
+
+@pytest.fixture
+def loop_oracles(monkeypatch):
+    """Returns a function that routes M_n and the rectified sums of finite
+    supports through the loops of tests/_oracles.py.  The moment caches are
+    emptied when it is called and after the test, so no value crosses
+    between the loops and the engines."""
+
+    def use_loops():
+        monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        monkeypatch.setattr(models._DiscreteBase, "rectified_exp_seq", rectified_exp_seq_loop)
+        monkeypatch.setattr(models._DiscreteBase, "rectified_moment_seq",
+                            rectified_moment_seq_loop)
+        clear()
+
+    def clear():
+        moments._x_seq.cache_clear()
+        moments._sum_moment_seq.cache_clear()
+
+    yield use_loops
+    clear()
 
 
 def _same_but_numbers(got, want, where="result"):
@@ -880,30 +908,32 @@ def _same_but_numbers(got, want, where="result"):
 
 
 class TestRecursionOracleGolden:
-    """The outputs whose digests moved with the blocked convolution engine.
+    """The outputs whose digests moved with the blocked convolution engine
+    or the blocked sum-law engine.
 
-    Through the term-by-term loop of tests/_oracles.py they keep the bytes
-    recorded before the engine; through the engine they differ from those
-    only in the last digits of numbers.
+    Through the loops of tests/_oracles.py (the term-by-term recursion and
+    the per-step rectified sums) they keep the bytes recorded before the
+    engines; through the engines they differ from those only in the last
+    digits of numbers.
     """
 
     @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)
-    def test_loop_reproduces_earlier_digest(self, capsys, monkeypatch, argv, data,
-                                            digest):
+    def test_loop_reproduces_earlier_digest(self, capsys, monkeypatch, loop_oracles,
+                                            argv, data, digest):
         monkeypatch.setattr("sys.stdin", io.StringIO(data()))
-        monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        loop_oracles()
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)
-    def test_engine_differs_only_in_numbers(self, capsys, monkeypatch, argv, data,
-                                            digest):
+    def test_engine_differs_only_in_numbers(self, capsys, monkeypatch, loop_oracles,
+                                            argv, data, digest):
         monkeypatch.setattr("sys.stdin", io.StringIO(data()))
         code, engine_out, _ = run(capsys, *argv)
         assert code == 0
         monkeypatch.setattr("sys.stdin", io.StringIO(data()))
-        monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        loop_oracles()
         code, loop_out, _ = run(capsys, *argv)
         assert code == 0
         assert engine_out != loop_out

@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cusumkit import models, moments, rng
 from cusumkit.errors import (
+    DivergentMoment,
     NoConvergence,
     NoPositiveRoot,
     NotAnLLRModel,
@@ -26,6 +27,8 @@ from _oracles import (
     quad_one_minus_exp_pos,
     quad_rectified_exp,
     quad_rectified_moments,
+    rectified_exp_seq_loop,
+    rectified_moment_seq_loop,
 )
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
@@ -330,6 +333,95 @@ class TestDiscreteSums:
             assert np.all(dp[~np.isin(dv, sv)] < 1e-300)
             np.testing.assert_array_equal(dv[np.isin(dv, sv) | keep], sv)
             np.testing.assert_allclose(dp[np.isin(dv, sv)], sp, rtol=1e-12)
+
+
+@st.composite
+def _lattice_models(draw):
+    """Finite supports on dense lattices with P(Y > 0) > 0: Bernoulli +-1,
+    integer tables, half-integer tables whose grid stride g/d may exceed 1,
+    and wide tables whose few atoms span 128 or more steps, so that the
+    engine takes one step per block."""
+    kind = draw(st.sampled_from(["bernoulli", "integer", "half", "wide"]))
+    if kind == "bernoulli":
+        return models.BernoulliPM(draw(st.floats(0.05, 0.45)))
+    if kind == "wide":
+        low = draw(st.lists(st.integers(-6, -1), min_size=1, max_size=3, unique=True))
+        big = draw(st.floats(0.001, 0.004))
+        return models.DiscreteTable((float(draw(st.integers(128, 160))), *map(float, low)),
+                                    (big, *[(1.0 - big) / len(low)] * len(low)))
+    if kind == "integer":
+        values = draw(st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True))
+    else:  # (a + g*i) / 2: strides up to g
+        a, g = draw(st.integers(-9, -1)), draw(st.sampled_from([2, 3, 4]))
+        steps = draw(st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True))
+        values = [(a + g * i) / 2 for i in steps]
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                            max_size=len(values)))
+    if max(values) <= 0:
+        reject()
+    return models.DiscreteTable(tuple(map(float, values)),
+                                tuple(w / sum(weights) for w in weights))
+
+
+class TestSumLawEngine:
+    """The blocked sum-law engine against the per-step loops."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loops(self, data):
+        model = data.draw(_lattice_models())
+        lat = model.lattice()
+        b = models._block_steps(lat)
+        # the loops convolve a wide table's 129+ taps per step: about 1 s
+        # per call at n = 600, so wide tables stop at 200
+        top = 200 if lat.span >= 128 else 600
+        n = data.draw(st.one_of(st.sampled_from([0, 1, b - 1, b, b + 1, 2 * b + 1]),
+                                st.integers(0, top)))
+        # lambda * max S_n runs from -600 to 1200, across the 600 at which
+        # the tilted form takes over; past it x_k may overflow
+        lam = data.draw(st.floats(-1.0, 2.0)) * 600.0 / (max(model.support) * max(n, 1))
+        try:
+            want = rectified_exp_seq_loop(model, lam, n)
+        except DivergentMoment as exc:
+            with pytest.raises(DivergentMoment) as got:
+                model.rectified_exp_seq(lam, n)
+            assert str(got.value) == str(exc)
+        else:
+            np.testing.assert_allclose(model.rectified_exp_seq(lam, n), want,
+                                       rtol=1e-13, atol=0.0)
+        for got, want in zip(model.rectified_moment_seq(n),
+                             rectified_moment_seq_loop(model, n)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("spec, steps", [
+        ("bernoulli-pm:p=0.3", 64),
+        ("table:y=-2;-1;0;1;2,p=0.25;0.3;0.2;0.15;0.1", 25),
+        ("table:y=2;-1;0.5,p=0.1;0.6;0.3", 42),
+        ("table:y=-40;-7;0;3;25,p=0.3;0.3;0.2;0.15;0.05", 1),
+        ("table:y=40;-1,p=0.01;0.99", 1),
+    ], ids=["bernoulli", "table5", "stride3", "span65", "classes41"])
+    def test_block_steps(self, spec, steps):
+        assert models._block_steps(models.parse_model(spec).lattice()) == steps
+
+    @pytest.mark.parametrize("lam", [1.0, -1000.0])
+    def test_positive_support_one_step_per_block(self, lam):
+        # stride 9 puts y = 1, 10 at one step per block; on a support above
+        # 0 the weight 1{v <= 0} (lam = 1, tilted form) and exp(lam v+)
+        # (lam = -1000, underflowing) are 0 on every column S_k can reach
+        model = models.parse_model("table:y=1;10,p=0.5;0.5")
+        assert models._block_steps(model.lattice()) == 1
+        np.testing.assert_allclose(model.rectified_exp_seq(lam, 70),
+                                   rectified_exp_seq_loop(model, lam, 70),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused_like_the_loop(self):
+        model = models.BernoulliPM(0.27)
+        with pytest.raises(DivergentMoment) as want:
+            rectified_exp_seq_loop(model, 3.0, 2000)
+        with pytest.raises(DivergentMoment) as got:
+            model.rectified_exp_seq(3.0, 2000)
+        assert str(got.value) == str(want.value)
 
 
 class TestTiltVariance:

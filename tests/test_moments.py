@@ -162,6 +162,12 @@ class TestConvolutionEngine:
         np.testing.assert_array_equal(b, np.arange(1.0, 302.0))
 
 
+class TestConvolutionKernel:
+    def test_empty_input(self):
+        out = moments.convolution_recursion(np.empty(0))
+        np.testing.assert_array_equal(out, [1.0])
+
+
 class TestLatticeOverflow:
     """exp(lambda* S_k+) leaves the float range on the upper tail of S_k
     while x_k = E exp(lambda* S_k+) stays at most 2."""
