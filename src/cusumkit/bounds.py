@@ -103,7 +103,11 @@ def threshold_ub(model: IncrementModel, n: int, alpha: float, variant: str) -> f
         raise ValueError(f"unknown upper variant {variant!r}")
     lam_star = cached_lambda_star(model)
     if variant == "ub1":
-        level = float(cusum_mgf_recursive(model, lam_star, n).values[n])
+        # M_n(lambda*) <= exp_moment_upper exactly, but not always in floats
+        # (x_k of NormalLLR(80) come out above 2); both levels are valid,
+        # so the tighter one keeps ub1 <= ub3 <= ub2
+        level = min(float(cusum_mgf_recursive(model, lam_star, n).values[n]),
+                    exp_moment_upper(model, n))
     elif variant == "ub2":
         level = n + 1.0
     else:

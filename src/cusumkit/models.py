@@ -177,6 +177,11 @@ class IncrementModel:
         lo = hi / 2.0
         while self.mgf(lo) >= 1.0:
             lo /= 2.0
+            if lo == 0.0:  # a mean that is negative by rounding only
+                raise NoPositiveRoot(
+                    f"m(lambda) >= 1 down to the smallest lambda > 0 although "
+                    f"mean(Y) = {self.mean():g}: the mean is 0 up to rounding"
+                )
         root = brentq(lambda t: self.mgf(t) - 1.0, lo, hi, xtol=1e-15, rtol=1e-15)
         return _polish_root(lambda t: self.mgf(t) - 1.0, self.mgf_prime, root)
 

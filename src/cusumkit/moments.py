@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DivergentMoment, FormulaMismatch, NoConvergence, TooLarge
 from .models import IncrementModel, cached_lambda_star
@@ -77,10 +78,11 @@ def convolution_recursion(x: np.ndarray) -> np.ndarray:
     = x_n b_0, n = 1..N, which is solved by forward substitution in blocks
     of _BLOCK rows.  For the rows i0..i1-1 of a block, one correlation adds
     up the terms over the solved b_0..b_{i0-1}, and one triangular solve
-    finishes the block; its matrix is the same strictly lower Toeplitz
-    block -x_{r-c} for every block, with r on the diagonal of row r.  The
-    products are those of the term-by-term recursion, summed in another
-    order, so the two agree to rounding for inputs of any sign.
+    (LAPACK dtrtrs, called directly) finishes the block; its matrix is the
+    same strictly lower Toeplitz block -x_{r-c} for every block, with r on
+    the diagonal of row r.  The products are those of the term-by-term
+    recursion, summed in another order, so the two agree to rounding for
+    inputs of any sign.
     """
     n_terms = x.shape[0]
     b = np.empty(n_terms + 1)
@@ -94,9 +96,11 @@ def convolution_recursion(x: np.ndarray) -> np.ndarray:
         # rhs[r - i0] = sum_{c < i0} x_{r-c} b_c for r = i0..i1-1
         rhs = np.correlate(x[: i1 - 1], b[i0 - 1 :: -1], "valid")
         diagonal[:rows] = np.arange(i0, i1)
-        b[i0:i1] = solve_triangular(
-            block[:rows, :rows], rhs, lower=True, check_finite=False
-        )
+        # solve_triangular(block[:rows, :rows], rhs, lower=True) without
+        # its 30-45 us of wrapper: the same LAPACK call on the transposed
+        # (Fortran-ordered) upper triangle, so the same bits.  The diagonal
+        # is i0..i1-1 >= 1, so the solve never meets a zero pivot.
+        b[i0:i1], _ = dtrtrs(block[:rows, :rows].T, rhs, lower=0, trans=1)
     return b
 
 

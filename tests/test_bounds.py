@@ -79,6 +79,14 @@ class TestUpperThresholds:
         for v in ("ub1", "ub3"):
             assert got[v] == pytest.approx(got["ub2"], rel=1e-12)
 
+    def test_normal_llr_delta_80_ub1_le_ub3_le_ub2_exactly(self):
+        # D = 1, and the float M_10(1) comes out 3.2e-13 relative above
+        # 1 + nD = 11, so ub1 takes the smaller of the two valid levels
+        m = models.NormalLLR(80.0)
+        assert moments.cusum_mgf_recursive(m, 1.0, 10).values[10] > 11.0
+        got = {v: bounds.threshold_ub(m, 10, 0.05, v) for v in ("ub1", "ub2", "ub3")}
+        assert got["ub1"] <= got["ub3"] <= got["ub2"]
+
     @pytest.mark.parametrize("variant", ["ub1", "ub2", "ub3"])
     def test_negative_horizon_refused(self, nllr, variant):
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):

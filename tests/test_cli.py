@@ -259,6 +259,7 @@ class TestMathRunsOut:
         rep = json.loads(out)["result"]
         assert code == 0
         assert all(math.isfinite(rep[v]) for v in ("ub1", "ub2", "ub3", "lb1", "lb2"))
+        assert rep["ub1"] <= rep["ub3"] <= rep["ub2"]
 
     def test_sparse_sum_law_budget_refuses_detect_fast(self, capsys, monkeypatch):
         data = "".join(f"{i % 4}\n" for i in range(3000))

@@ -116,6 +116,20 @@ class TestLambdaStar:
         with pytest.raises(NoPositiveRoot):
             m.lambda_star()
 
+    def test_table_2_m2_m3_3_0_mean_zero_by_rounding_refused(self):
+        # the exact mean is 0 and the float mean -5.6e-17, so m(lambda) >= 1
+        # for every lambda down to 0; the bracket search used to halve lo
+        # forever, hence the subprocess and its timeout
+        spec = ("table:y=2;-2;-3;3;0,p=0.06896551724137931;0.06896551724137931;"
+                "0.3103448275862069;0.3103448275862069;0.2413793103448276")
+        code = ("import sys; from cusumkit import cli; sys.exit(cli.main(["
+                f"'threshold', '--model', {spec!r}, '--n', '10', '--alpha', '0.05']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: NoPositiveRoot: ")
+        assert "0 up to rounding" in proc.stderr
+
     def test_bad_root_rejected(self):
         class BadRoot(models.ShiftedNormal):
             def _lambda_star_impl(self):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cusumkit import detect, models, moments, rng, simulate
@@ -273,6 +273,66 @@ class TestExactEnumeration:
             assert big.atoms[kw * 40_000, km * 40_000] == pytest.approx(p, rel=1e-12)
         with pytest.raises(TooLarge):
             simulate.exact_enumerate(table, 231)
+
+
+@st.composite
+def _lattice_tables(draw):
+    """Tables of 2-5 integer or half-integer atoms with a negative mean."""
+    keys = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(keys),
+                            max_size=len(keys)))
+    if sum(k * w for k, w in zip(keys, weights)) >= 0:
+        reject()
+    scale = draw(st.sampled_from([1.0, 0.5]))
+    probs = tuple(w / sum(weights) for w in weights)
+    return models.DiscreteTable(tuple(k * scale for k in keys), probs)
+
+
+def _enumerate_by(model, n, cells_per_candidate):
+    with mock.patch.object(simulate, "_CELLS_PER_CANDIDATE", cells_per_candidate):
+        return simulate.exact_enumerate(model, n)
+
+
+class TestDenseMerge:
+    """exact_enumerate's dense-index merge against the sort merge."""
+
+    @given(model=_lattice_tables(), n=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sort_merge_and_paths(self, model, n):
+        dense = _enumerate_by(model, n, 2**62)  # every step by the dense index
+        by_sort = _enumerate_by(model, n, 0)  # every step by sorting
+        np.testing.assert_array_equal(dense.w_keys, by_sort.w_keys)
+        np.testing.assert_array_equal(dense.max_keys, by_sort.max_keys)
+        np.testing.assert_allclose(dense.probs, by_sort.probs, rtol=1e-14, atol=0)
+        # the path oracle at n <= 8, for at most 16 000 paths
+        small = min(n, 8, int(math.log(16_000) / math.log(len(model.support))))
+        got = _enumerate_by(model, small, 2**62)
+        want = {}
+        for w, m, p in path_cusum_stats(model.support, model.probs, small):
+            key = (round(w / 1e-12), round(m / 1e-12))
+            want[key] = want.get(key, 0.0) + p
+        assert got.atoms.keys() == want.keys()
+        for key, p in want.items():
+            assert got.atoms[key] == pytest.approx(p, rel=1e-12)
+
+    def test_sparse_box_sorts(self):
+        # y = 40; -1: the box of a step has 176 or more cells per
+        # candidate state up to n = 30, so every step sorts
+        model = models.DiscreteTable((40.0, -1.0), (0.02, 0.98))
+        with mock.patch.object(simulate, "_merge_atoms",
+                               wraps=simulate._merge_atoms) as sort_merge:
+            dist = simulate.exact_enumerate(model, 30)
+        assert sort_merge.call_count == 30
+        dense = _enumerate_by(model, 30, 2**62)
+        np.testing.assert_array_equal(dist.w_keys, dense.w_keys)
+        np.testing.assert_array_equal(dist.max_keys, dense.max_keys)
+        np.testing.assert_allclose(dist.probs, dense.probs, rtol=1e-14, atol=0)
+
+    def test_bernoulli_merges_densely(self):
+        with mock.patch.object(simulate, "_merge_atoms",
+                               wraps=simulate._merge_atoms) as sort_merge:
+            simulate.exact_enumerate(models.BernoulliPM(0.3), 100)
+        assert sort_merge.call_count == 0
 
 
 class TestEnumerationOracle:
