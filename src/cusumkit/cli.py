@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -323,19 +325,72 @@ def _build_pair(args):
 _JSONL = json.JSONDecoder(parse_int=float)
 
 
+# line breaks of str.splitlines that numpy's tokenizer reads inside a cell,
+# so that "1,\x0c2" would lose the 2.  A text holding one of them, a "\r"
+# (open() translates it in a file; on stdin one in the header line would
+# shift skiprows) or a non-ASCII character goes to the per-line pass.
+_CELL_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
 def _read_values(path: str, field: str) -> np.ndarray:
     """One value per non-blank line: the first comma field of a CSV row
     (after an optional header row), or ``field`` of a JSONL record.
 
-    One pass per format; blank lines are skipped.  The first line that does
-    not parse is named in a ``CusumkitError``; then the line of the first
-    nan or inf value is.
+    A CSV file of ASCII text goes through numpy's C tokenizer.  Whenever
+    the tokenizer raises or warns, or a value is nan or inf, the text goes
+    through ``_parse_lines``, the per-line pass, which gives the same values
+    or names the bad line.
     """
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
+    if text.isascii() and "\r" not in text and not any(c in text for c in _CELL_BREAKS):
+        skip = _csv_head(text)
+        if skip is not None:
+            # numpy would fetch a relative path that parses as a URL
+            source = io.StringIO(text) if path == "-" else os.path.abspath(path)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = np.loadtxt(source, delimiter=",", usecols=0, comments=None,
+                                     skiprows=skip, ndmin=1)
+            except Exception:  # a bad cell, no data, or a name numpy opens as an archive
+                out = None
+            if out is not None and np.isfinite(out).all():
+                return out
+    return _parse_lines(text, field)
+
+
+def _csv_head(text: str) -> int | None:
+    """How many lines precede the first CSV data row: the blank lines and a
+    header row, sniffed as ``_parse_lines`` does.  None for a text without a
+    non-blank line or whose first one opens a JSON record."""
+    pos = i = 0
+    while True:
+        end = text.find("\n", pos)
+        line = text[pos:] if end < 0 else text[pos:end]
+        if line.strip():
+            break
+        if end < 0:
+            return None
+        pos, i = end + 1, i + 1
+    if line.lstrip().startswith("{"):
+        return None
+    try:
+        float(line.split(",")[0])
+    except ValueError:
+        return i + 1  # a header row
+    return i
+
+
+def _parse_lines(text: str, field: str) -> np.ndarray:
+    """The per-line pass of ``_read_values``: one pass per format over the
+    lines of ``text``; blank lines are skipped.  The first line that does
+    not parse is named in a ``CusumkitError``; then the line of the first
+    nan or inf value is.
+    """
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
@@ -460,7 +515,7 @@ def _cmd_detect(args) -> None:
             "all_alarms": Table.of_rows(state.alarms, 2),
         }
         if args.emit_path or args.format == "csv":
-            rows = Table(np.arange(t0 + 1, state.t + 1), np.array(path))
+            rows = Table(np.arange(t0 + 1, state.t + 1), path)
     else:
         report = detect.scan_offline(increments, h)
         statistic = (

@@ -53,6 +53,8 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 _ROOT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+_SMALL_MEAN = 1e-4  # see _DiscreteBase._lambda_star_impl
 _GRID = 1e-12  # finite supports are keyed by the integers round(y / _GRID)
 _PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
 # widest lattice (in steps of the key gcd, 0 included) whose sum laws, and
@@ -165,24 +167,27 @@ class IncrementModel:
             )
         return root
 
-    def _lambda_star_impl(self) -> float:
+    def _lambda_star_impl(self, f=None) -> float:
+        """The root of f(lambda) = m(lambda) - 1, or of another form of it."""
+        if f is None:
+            f = lambda t: self.mgf(t) - 1.0  # noqa: E731
         # Bracket: m is convex with m(0) = 1, m'(0) < 0 and m -> inf, so
         # the root is the unique positive point where m crosses 1 upward.
         hi = 1.0
-        while self.mgf(hi) <= 1.0:
+        while f(hi) <= 0.0:
             hi *= 2.0
             if hi > 1e6:  # pragma: no cover - unreachable for valid models
                 raise NoPositiveRoot("failed to bracket the root of m(lambda)=1")
         # keep lo strictly positive: m(0) = 1 is the trivial root
         lo = hi / 2.0
-        while self.mgf(lo) >= 1.0:
+        while f(lo) >= 0.0:
             lo /= 2.0
             if lo == 0.0:  # a mean that is negative by rounding only
                 raise NoPositiveRoot(
                     f"m(lambda) >= 1 down to the smallest lambda > 0 although "
                     f"mean(Y) = {self.mean():g}: the mean is 0 up to rounding"
                 )
-        root = brentq(lambda t: self.mgf(t) - 1.0, lo, hi, xtol=1e-15, rtol=1e-15)
+        root = brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
         return _polish_root(lambda t: self.mgf(t) - 1.0, self.mgf_prime, root)
 
     # -- rate function ---------------------------------------------------
@@ -744,6 +749,24 @@ class _DiscreteBase(IncrementModel):
 
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
+
+    def _lambda_star_impl(self) -> float:
+        # Near 0, m(lambda) - 1 = lambda * mean(Y) + O(lambda^2).  Summed as
+        # p * expm1(lambda * y) it errs by a few eps * E|Y| * lambda, so a
+        # mean within 8 eps * E|Y| of 0 has no root the floats resolve.
+        # Below _SMALL_MEAN * E|Y| the rounding of m(lambda) itself would
+        # swamp the lambda * mean(Y) term, so that sum is the one solved.
+        s = np.asarray(self.support)
+        spread = float(np.dot(np.abs(s), self.probs))
+        mean = self.mean()
+        if -mean <= 8.0 * _EPS * spread:
+            raise NoPositiveRoot(
+                f"mean(Y) = {mean:g} is 0 up to rounding (E|Y| = {spread:g})"
+            )
+        if -mean >= _SMALL_MEAN * spread:
+            return super()._lambda_star_impl()
+        return super()._lambda_star_impl(
+            lambda t: float(np.dot(np.expm1(t * s), self.probs)))
 
     def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Atom index = #{j < k - 1 : cum[j] <= u}, which equals

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cusumkit import models
+from cusumkit.detect import CusumState
 from cusumkit.errors import CusumkitError, DivergentMoment
 
 
@@ -161,6 +162,28 @@ def monitor_step_max(w, t, running_max, alarms, y, h):
     if w >= h:
         return (0.0, t, running_max, alarms + ((t, w),)), (t, w)
     return (w, t, running_max, alarms), None
+
+
+def monitor_run_loop(state, ys, h=math.inf):
+    """The streaming monitor as one Python step per increment: returns the
+    new ``CusumState``, the batch's alarms and the path as a list."""
+    w, t, top = state.w, state.t, state.running_max
+    alarms = []
+    path = []
+    record = path.append
+    for y in np.asarray(ys, dtype=float).tolist():
+        w += y
+        if w < 0.0:
+            w = 0.0
+        if w > top:
+            top = w
+        if w >= h:
+            alarms.append((t + len(path) + 1, w))
+            w = 0.0
+        record(w)
+    new = CusumState(w=w, t=t + len(path), running_max=top,
+                     alarms=state.alarms + tuple(alarms))
+    return new, alarms, path
 
 
 def read_values_per_line(path, field):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,32 @@ _record = st.one_of(
 )
 
 
+# inputs on which numpy's tokenizer and the per-line pass could part
+_EDGE_CSV = {
+    "whitespace-line": "value\n1\n   \n2\n",
+    "cr-breaks": "1\r2\r3\r",
+    "cr-after-header": "value\r1\n2\n",
+    "formfeed-break": "1\x0c2\n3\n",
+    "formfeed-after-header": "value\x0c1\n2\n",
+    "formfeed-after-comma": "1,\x0c2\n3\n",
+    "line-separator": "1,\u20282\n3\n",
+    "underscore-digits": "1_0\n2\n",
+    "arabic-indic-digits": "\u0661\u0662\n3\n",
+    "hash-comment": "1.5 # c\n2\n",
+    "quoted-cell": '"1.5"\n2\n',
+    "trailing-comma": "1.5,\n2,\n",
+    "extra-columns": "value,b\n1.5,x,y\n2,3\n",
+    "header-after-blanks": "\n\n  \nvalue\n1\n2\n",
+    "empty": "",
+    "blank-only": "\n  \n",
+    "header-only": "value\n\n",
+    "nan-cell": "value\n1\nnan\n",
+    "inf-cell": "1\n-inf\n",
+    "overflowing-cell": "1\n1e500\n",
+    "empty-cell": "1\n,2\n",
+}
+
+
 class TestReadValues:
     @pytest.mark.parametrize("name, text, message", [
         ("obs.csv", "value\n1\n\nx\n", "line 4: non-numeric value 'x'"),
@@ -669,6 +696,37 @@ class TestReadValues:
         data = tmp_path_factory.mktemp("jsonl") / "obs.jsonl"
         data.write_bytes(newline.join(['{"value": 0.5}', *rows]).encode())
         assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+
+    @pytest.mark.parametrize("text", _EDGE_CSV.values(), ids=_EDGE_CSV.keys())
+    def test_edge_corpus_matches_per_line_reader(self, tmp_path, monkeypatch, text):
+        # numpy's tokenizer reads these as the per-line pass does or raises;
+        # each raise or warning, and each nan or inf, goes to the per-line
+        # pass, and no warning leaks
+        data = tmp_path / "obs.csv"
+        data.write_bytes(text.encode())
+        want = _outcome(read_values_per_line, data)
+        assert _outcome(lambda path, field: cli._parse_lines(text, field), data) == want
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _outcome(cli._read_values, data) == want
+            # the same text on stdin, where nothing translates "\r"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert _outcome(lambda path, field: cli._read_values("-", field), data) == want
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("text", ["value\n0.5\n-1.25\n\n3\n", "\n\n  \nvalue\n1\n2\n",
+                                      "1.5,\n2,3,4\n", "value\r\n1e3\r\n-0.0\r\n"],
+                             ids=["header", "header-after-blanks", "extra-columns", "crlf"])
+    def test_clean_csv_skips_the_per_line_pass(self, tmp_path, monkeypatch, text):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(text.encode())
+        want = read_values_per_line(data, "value")
+
+        def refuse(*args):
+            raise AssertionError("per-line pass called")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
 
     def test_int_and_float_fields(self, tmp_path):
         data = tmp_path / "obs.jsonl"

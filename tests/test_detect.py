@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusumkit import detect, models
 from cusumkit.errors import UnsupportedValue
 
-from _oracles import brute_max_increment_span, monitor_step_max
+from _oracles import brute_max_increment_span, monitor_run_loop, monitor_step_max
 
 
 class TestLlrIncrements:
@@ -230,7 +230,7 @@ class TestMonitorRun:
         for batch in _split(ys, cuts):
             batched, new, part = detect.monitor_run(batched, np.array(batch), h)
             alarms += new
-            path += part
+            path += part.tolist()
         assert repr(batched) == repr(state)
         assert repr(alarms) == repr(steps)
         assert repr(path) == repr(step_path)
@@ -245,13 +245,14 @@ class TestMonitorRun:
     def test_empty_batch_keeps_state(self):
         state = detect.CusumState(w=1.5, t=7, running_max=2.0, alarms=((3, 2.0),))
         again, alarms, path = detect.monitor_run(state, [], h=1.0)
-        assert again == state and alarms == [] and path == []
+        assert again == state and alarms == [] and path.tolist() == []
+        assert path.dtype == np.float64
 
     def test_path_records_post_reset_value(self):
         _, alarms, path = detect.monitor_run(detect.CusumState(), [1.0, 1.0, -3.0, 2.0],
                                              h=1.5)
         assert alarms == [(2, 2.0), (4, 2.0)]
-        assert path == [1.0, 0.0, 0.0, 0.0]
+        assert path.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_many_alarms_in_one_batch(self):
         k = 20_000
@@ -262,3 +263,111 @@ class TestMonitorRun:
         assert state.alarms[0] == (1, 4.0)
         assert alarms[-1] == state.alarms[-1] == (1 + 2 * k, 1.5)
         assert (state.t, state.w) == (1 + 2 * k, 0.0)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _stream(rng, n, kind, drift, specials):
+    """n increments: normal with a drift, the same after a run of -0.0 (which
+    keeps a start at -0.0 there), with a drift that flips sign mid-stream,
+    or a symmetric log-ratio lattice +-log c whose sums return to 0 up to
+    rounding; then ``specials`` of +-0.0, nan and +-inf."""
+    if kind in ("drift", "zeros"):
+        y = rng.standard_normal(n) + drift
+        if kind == "zeros":
+            y[: rng.integers(0, n + 1)] = -0.0
+    elif kind == "flip":
+        y = rng.standard_normal(n) + np.where(np.arange(n) < rng.integers(0, n + 1),
+                                              drift, -drift)
+    else:
+        step = math.log(4.0 if kind == "log4" else 1.5)
+        y = np.where(rng.random(n) < 0.5 + 0.4 * drift, step, -step)
+    if n:
+        at = rng.integers(0, n, len(specials))
+        y[at] = specials
+    return y
+
+
+_LANE_MIN = detect._LANE_MIN
+
+
+class TestLaneFold:
+    """``monitor_run`` on long batches runs the lane fold; it must give the
+    one-step loop's path, state and alarms bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([0, 500, _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 3 * _LANE_MIN]),
+           kind=st.sampled_from(["drift", "zeros", "flip", "log4", "log1.5"]),
+           drift=st.floats(-1.0, 1.0),
+           specials=st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                             max_size=4),
+           h=st.sampled_from([math.nan, math.inf, 0.5, 1.0, 3.0]),
+           w0=st.sampled_from([0.0, -0.0, 0.3, 40.0]),
+           top0=st.sampled_from([0.0, 2.0, 100.0]),
+           cuts=st.lists(st.integers(0, 3 * _LANE_MIN), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_loop_bit_for_bit(self, n, kind, drift, specials, h, w0, top0, cuts, seed):
+        y = _stream(np.random.default_rng(seed), n, kind, drift, specials)
+        start = detect.CusumState(w=w0, t=3, running_max=max(w0, top0), alarms=((1, 9.0),))
+        want, want_alarms, want_path = monitor_run_loop(start, y, h)
+        got, alarms, path = detect.monitor_run(start, y, h)
+        assert path.dtype == np.float64
+        assert (_bits(path) == _bits(want_path)).all() and len(path) == n
+        assert got.t == want.t and got.alarms == want.alarms
+        assert _bits([got.w, got.running_max]).tolist() == _bits([want.w, want.running_max]).tolist()
+        assert [t for t, _ in alarms] == [t for t, _ in want_alarms]
+        assert _bits([v for _, v in alarms]).tolist() == _bits([v for _, v in want_alarms]).tolist()
+        # any split into batches, some of them long enough for lanes
+        state, parts = start, []
+        for batch in _split(y, cuts):
+            state, _, part = detect.monitor_run(state, batch, h)
+            parts.append(part)
+        assert (_bits(np.concatenate([np.empty(0), *parts])) == _bits(want_path)).all()
+        assert _bits([state.w, state.running_max]).tolist() == _bits([want.w, want.running_max]).tolist()
+        assert state.t == want.t and state.alarms == want.alarms
+
+    @pytest.mark.parametrize("at", [100, -50])
+    def test_nan_meets_nan(self, at):
+        # inf - inf is one NaN and the data's nan another; which of the two
+        # their sum keeps depends on the adder (numpy's vector body and its
+        # scalar tail differ), so such a batch runs the loop.  Of the 257
+        # lanes of 66 536 increments the first is in the vector body and the
+        # last in the tail.
+        y = np.random.default_rng(5).standard_normal(66_536) - 0.5
+        y[at:at + 4 or None] = [math.inf, -math.inf, math.nan, 1.0]
+        # h = nan, as in a scan: at h = 3 the inf would alarm and reset
+        want, _, want_path = monitor_run_loop(detect.CusumState(), y, math.nan)
+        got, _, path = detect.monitor_run(detect.CusumState(), y, math.nan)
+        assert (_bits(path) == _bits(want_path)).all()
+        assert _bits([got.w, got.running_max]).tolist() == _bits([want.w, want.running_max]).tolist()
+
+    @pytest.mark.parametrize("tail", ["normal", "zeros"])
+    def test_start_at_negative_zero(self, tail):
+        # -0.0 + -0.0 stays -0.0, which a lane folded from +0.0 never holds:
+        # equal as floats, the two states must not meet
+        n = 2 * _LANE_MIN
+        y = np.random.default_rng(6).standard_normal(n) - 0.5 if tail == "normal" else np.zeros(n)
+        y[: n // 2 + 77] = -0.0
+        start = detect.CusumState(w=-0.0, running_max=-0.0)
+        want, want_alarms, want_path = monitor_run_loop(start, y, 3.0)
+        got, alarms, path = detect.monitor_run(start, y, 3.0)
+        assert (_bits(path) == _bits(want_path)).all()
+        assert _bits([got.w, got.running_max]).tolist() == _bits([want.w, want.running_max]).tolist()
+        assert repr((got, alarms)) == repr((want, want_alarms))
+
+    @pytest.mark.parametrize("drift, scale, h", [
+        (-0.5, 1.0, math.nan), (0.0, 1.0, math.nan), (0.5, 1.0, math.nan), (-0.5, 1.0, 3.0),
+        (0.5, 1.0, 3.0), (0.0, 1.0, 0.0), (0.002, 0.05, 3.0), (0.0, 0.05, 3.0),
+    ], ids=["pre-change", "in-control", "post-change", "pre-change-h3", "post-change-h3", "h0",
+            "slow-h3", "slow-in-control-h3"])
+    def test_long_stream(self, drift, scale, h):
+        # lanes that meet at once, late or never; an h = 0 that alarms on
+        # every step; small steps, whose long runs between a clamp and an
+        # alarm go through cumsum
+        y = np.random.default_rng(11).standard_normal(5 * _LANE_MIN) * scale + drift
+        want, want_alarms, want_path = monitor_run_loop(detect.CusumState(), y, h)
+        got, alarms, path = detect.monitor_run(detect.CusumState(), y, h)
+        assert (_bits(path) == _bits(want_path)).all()
+        assert repr((got, alarms)) == repr((want, want_alarms))

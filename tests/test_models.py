@@ -12,7 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from cusumkit import models, moments, rng
+from cusumkit import cli, models, moments, rng
 from cusumkit.errors import (
     DivergentMoment,
     NoConvergence,
@@ -129,6 +129,29 @@ class TestLambdaStar:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: NoPositiveRoot: ")
         assert "0 up to rounding" in proc.stderr
+
+    def test_table_3_2_1_m2_m3_mean_zero_by_rounding_refused(self, capsys):
+        # probabilities 13, 10, 20, 11, 19 / 73 sum to 1 - 2.2e-16 as floats,
+        # so m(lambda) dips below 1 near 0 and brentq found lambda* = 2.3e-10
+        # in the rounding (ub1 = 1.29e10)
+        spec = ("table:y=3;2;1;-2;-3,p=0.1780821917808219;0.136986301369863;"
+                "0.273972602739726;0.1506849315068493;0.2602739726027397")
+        with pytest.raises(NoPositiveRoot, match="0 up to rounding"):
+            models.parse_model(spec).lambda_star()
+        code = cli.main(["threshold", "--model", spec, "--n", "50", "--alpha", "0.05"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: NoPositiveRoot: ")
+
+    @pytest.mark.parametrize("values, probs", [
+        ((1.0, -1.0), (0.49999999995, 0.50000000005)),
+        ((2.0, -1.0), (0.33333333330000003, 0.6666666667)),
+    ], ids=["pm1", "2-m1"])
+    def test_small_negative_mean_keeps_its_root(self, values, probs):
+        # E Y = -1e-10: lambda* = 2|E Y| / Var Y to O(E Y^2), where the
+        # rounding of m(lambda) alone would put the root near 1e-15
+        m = models.DiscreteTable(values, probs)
+        assert m.mean() == pytest.approx(-1e-10, rel=1e-4)
+        assert m.lambda_star() == pytest.approx(-2.0 * m.mean() / m.var(), rel=1e-5)
 
     def test_bad_root_rejected(self):
         class BadRoot(models.ShiftedNormal):
