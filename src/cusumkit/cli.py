@@ -349,8 +349,13 @@ def _read_values(path: str, field: str) -> np.ndarray:
     if text.isascii() and "\r" not in text and not any(c in text for c in _CELL_BREAKS):
         skip = _csv_head(text)
         if skip is not None:
-            # numpy would fetch a relative path that parses as a URL
-            source = io.StringIO(text) if path == "-" else os.path.abspath(path)
+            # numpy opens a path again: only a regular file reads the same
+            # twice (a pipe would wait for a writer that has gone), and a
+            # relative path could parse as a URL that numpy would fetch
+            if path != "-" and os.path.isfile(path):
+                source = os.path.abspath(path)
+            else:
+                source = io.StringIO(text)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")

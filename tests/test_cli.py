@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -727,6 +729,27 @@ class TestReadValues:
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
         assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_read_once(self, tmp_path):
+        # opening the pipe again for the tokenizer would wait for a writer
+        # that has gone
+        fifo = tmp_path / "obs.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_text("value\n0.5\n1.5\n"))
+        writer.start()
+        got = {}
+        reader = threading.Thread(
+            target=lambda: got.update(out=cli._read_values(str(fifo), "value")), daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        hung = reader.is_alive()
+        if hung:
+            fifo.write_text("")  # release the second open
+            reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not hung and not writer.is_alive()
+        assert got["out"].tolist() == [0.5, 1.5]
 
     def test_int_and_float_fields(self, tmp_path):
         data = tmp_path / "obs.jsonl"
