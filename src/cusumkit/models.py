@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -159,13 +158,17 @@ class IncrementModel:
         if not self.can_be_positive:
             raise NoPositiveRoot("P(Y > 0) = 0; m(lambda) < 1 for all lambda > 0")
         root = self._lambda_star_impl()
-        residual = abs(self.mgf(root) - 1.0)
-        if not residual <= _ROOT_TOL:
+        form, residual, tol = self._root_residual(root)
+        if not residual <= tol:
             raise NoConvergence(
-                f"lambda* = {root!r} leaves |m(lambda*) - 1| = {residual:g} "
-                f"above {_ROOT_TOL:g}"
+                f"lambda* = {root!r} leaves {form} = {residual:g} above {tol:g}"
             )
         return root
+
+    def _root_residual(self, root: float) -> tuple[str, float, float]:
+        """The form _lambda_star_impl solved, its |value| at root and the
+        bound that value must keep."""
+        return "|m(lambda*) - 1|", abs(self.mgf(root) - 1.0), _ROOT_TOL
 
     def _lambda_star_impl(self, f=None) -> float:
         """The root of f(lambda) = m(lambda) - 1, or of another form of it."""
@@ -187,7 +190,7 @@ class IncrementModel:
                     f"m(lambda) >= 1 down to the smallest lambda > 0 although "
                     f"mean(Y) = {self.mean():g}: the mean is 0 up to rounding"
                 )
-        root = brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
+        root = _brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
         return _polish_root(lambda t: self.mgf(t) - 1.0, self.mgf_prime, root)
 
     # -- rate function ---------------------------------------------------
@@ -222,7 +225,7 @@ class IncrementModel:
         a, b = 0.0, 1.0
         while tilt_mean(b) < x:
             a, b = b, 2.0 * b
-        lam = brentq(lambda t: tilt_mean(t) - x, a, b, xtol=1e-15, rtol=1e-15)
+        lam = _brentq(lambda t: tilt_mean(t) - x, a, b, xtol=1e-15, rtol=1e-15)
         lam = _polish_root(lambda t: tilt_mean(t) - x, self.tilt_var, lam)
         rate = lam * x - math.log(self.mgf(lam))
         return max(rate, 0.0), lam
@@ -270,6 +273,67 @@ class IncrementModel:
     def spec(self) -> str:
         """The model-grammar string parse_model() accepts."""
         raise NotImplementedError
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS,
+            maxiter: int = 100) -> float:
+    """scipy.optimize.brentq(f, a, b, xtol, rtol, maxiter), operation for
+    operation after scipy's brentq.c, so the same root bit for bit and the
+    same ValueError or RuntimeError, without the slow import of
+    scipy.optimize."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless a short step is good
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN step, never a short one
+                pass
+        limit = min(abs(spre), 3 * abs(sbis) - delta)
+        if 2 * abs(stry) < limit:  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _polish_root(f, fprime, root: float) -> float:
@@ -750,23 +814,42 @@ class _DiscreteBase(IncrementModel):
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
 
+    def _spread(self) -> float:
+        """E|Y|."""
+        return float(np.dot(np.abs(np.asarray(self.support)), self.probs))
+
+    def _expm1_sum(self, lam: float) -> float:
+        """m(lam) - 1 summed as sum p * expm1(lam * y)."""
+        return float(np.dot(np.expm1(lam * np.asarray(self.support)), self.probs))
+
     def _lambda_star_impl(self) -> float:
         # Near 0, m(lambda) - 1 = lambda * mean(Y) + O(lambda^2).  Summed as
         # p * expm1(lambda * y) it errs by a few eps * E|Y| * lambda, so a
         # mean within 8 eps * E|Y| of 0 has no root the floats resolve.
         # Below _SMALL_MEAN * E|Y| the rounding of m(lambda) itself would
         # swamp the lambda * mean(Y) term, so that sum is the one solved.
-        s = np.asarray(self.support)
-        spread = float(np.dot(np.abs(s), self.probs))
+        spread = self._spread()
         mean = self.mean()
         if -mean <= 8.0 * _EPS * spread:
             raise NoPositiveRoot(
                 f"mean(Y) = {mean:g} is 0 up to rounding (E|Y| = {spread:g})"
             )
-        if -mean >= _SMALL_MEAN * spread:
+        if not self._solves_expm1():
             return super()._lambda_star_impl()
-        return super()._lambda_star_impl(
-            lambda t: float(np.dot(np.expm1(t * s), self.probs)))
+        return super()._lambda_star_impl(self._expm1_sum)
+
+    def _solves_expm1(self) -> bool:
+        """Whether _lambda_star_impl solves the expm1 sum, not m - 1."""
+        return -self.mean() < _SMALL_MEAN * self._spread()
+
+    def _root_residual(self, root: float) -> tuple[str, float, float]:
+        # m(root) - 1 rounds to 0 at any root below about eps / |mean(Y)|,
+        # so the expm1 sum is checked when it was the form solved, against
+        # its own rounding error of a few eps * root * E|Y|
+        if not self._solves_expm1():
+            return super()._root_residual(root)
+        return ("|sum p expm1(lambda* y)|", abs(self._expm1_sum(root)),
+                64.0 * _EPS * root * self._spread())
 
     def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Atom index = #{j < k - 1 : cum[j] <= u}, which equals

@@ -2,12 +2,13 @@
 
 Four independent routes to the exponential moments M_n(lambda) =
 E exp(lambda * W_n) are provided: the convolution recursion, solved by
-blocked forward substitution, the dense lower-triangular matrix solve,
-brute-force integer-partition summation (small n), and the
-rescaled-Bell-polynomial view.  They must agree to float precision and the
-tests enforce it; the tests also hold the one-term-at-a-time O(N^2) loop
-(tests/_oracles.py, convolution_recursion_loop) that the blocked engine
-must match to 1e-13.
+blocked forward substitution, the row-scaled unit lower-triangular system,
+solved in panels without forming its matrix, brute-force
+integer-partition summation (small n), and the rescaled-Bell-polynomial
+view.  They must agree to float precision and the tests enforce it; the
+tests also hold the one-term-at-a-time O(N^2) loop and the dense matrix
+solve (tests/_oracles.py, convolution_recursion_loop and
+cusum_mgf_matrix_dense) that the two blocked routes must match to 1e-13.
 
 Variance note: the published recursive increment for Var W_n does not
 reproduce the direct expression derived from the generating function (its
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DivergentMoment, FormulaMismatch, NoConvergence, TooLarge
@@ -197,7 +198,15 @@ def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:
 
 def cusum_mgf_matrix(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n as the solution of the unit lower-triangular system
-    (I - A) M = e, by forward substitution (BLAS trsv); no inverse is formed."""
+    (I - A) M = e, A[r, c] = x_{r-c} / r for c < r, by forward substitution
+    in panels of _BLOCK rows; the matrix is never formed.
+
+    For the rows i0..i1-1 of a panel, one correlation over the solved
+    M_0..M_{i0-1}, divided by r, gives the sum of the off-panel terms, and
+    one triangular solve (LAPACK dtrtrs, unit diagonal) finishes the panel;
+    its block -x_{r-c} / r is one Toeplitz block divided per row.  Each row
+    is scaled by 1/r before the solve, so the route is numerically separate
+    from cusum_mgf_recursive, which solves the unscaled rows."""
     _check_lambda(lam)
     if n == 0:
         return MgfSeries(lam=lam, horizon=0, values=np.ones(1))
@@ -206,16 +215,20 @@ def cusum_mgf_matrix(model: IncrementModel, lam: float, n: int) -> MgfSeries:
         raise DivergentMoment(
             f"E exp(lam * S_k+) is not finite at lam = {lam:g} for some k <= {n}"
         )
-    size = n + 1
-    system = np.eye(size)
-    neg_rev_x = -xs[::-1]
-    for i in range(1, size):
-        # row i holds -x_i/i, ..., -x_1/i: the last i entries of neg_rev_x
-        np.divide(neg_rev_x[n - i :], i, out=system[i, :i])
-    rhs = np.zeros(size)
-    rhs[0] = 1.0
-    # every entry is finite (checked on xs above), so skip scipy's scan
-    values = solve_triangular(system, rhs, lower=True, check_finite=False)
+    values = np.empty(n + 1)
+    values[0] = 1.0
+    size = min(_BLOCK, n)
+    block = toeplitz(np.concatenate(([0.0], -xs[: size - 1])), np.zeros(size))
+    for i0 in range(1, n + 1, _BLOCK):
+        i1 = min(i0 + _BLOCK, n + 1)
+        rows = np.arange(i0, i1)
+        # rhs[r - i0] = sum_{c < i0} x_{r-c} M_c / r for r = i0..i1-1
+        rhs = np.correlate(xs[: i1 - 1], values[i0 - 1 :: -1], "valid") / rows
+        panel = block[: rows.size, : rows.size] / rows[:, None]
+        # the transposed (Fortran-ordered) upper triangle: the lower
+        # triangular solve without solve_triangular's wrapper, as in
+        # convolution_recursion; the zero diagonal is read as ones
+        values[i0:i1], _ = dtrtrs(panel.T, rhs, lower=0, trans=1, unitdiag=1)
     return MgfSeries(lam=lam, horizon=n, values=values)
 
 

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: numeric quadrature for normal
 expectations, exhaustive path enumeration for discrete walks, one dot
-product per term of the convolution recursion, one exp and one dot
-product per step of the rectified sums of a finite support, double loops
-for maxima, one ``max`` per monitor step, one parse per data line and one
-formatting call per output value.  The production code must match these,
-never the other way around.
+product per term of the convolution recursion, a dense (N+1)^2 matrix for
+the row-scaled MGF system, one exp and one dot product per step of the
+rectified sums of a finite support, double loops for maxima, one segment
+bound per segment length, one ``max`` per monitor step, one parse per data
+line and one formatting call per output value.  The production code must
+match these, never the other way around.
 """
 
 import dataclasses
@@ -16,8 +17,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
-from cusumkit import models
+from cusumkit import bounds, models, moments
 from cusumkit.detect import CusumState
 from cusumkit.errors import CusumkitError, DivergentMoment
 
@@ -69,6 +71,31 @@ def convolution_recursion_loop(x):
     return b
 
 
+def cusum_mgf_matrix_dense(model, lam, n):
+    """M_0..M_n as the solution of the unit lower-triangular system
+    (I - A) M = e, A[r, c] = x_{r-c} / r, built as one dense (N+1)^2 matrix
+    and solved by forward substitution (BLAS trsv)."""
+    moments._check_lambda(lam)
+    if n == 0:
+        return moments.MgfSeries(lam=lam, horizon=0, values=np.ones(1))
+    xs = moments._x_seq(model, lam, n)
+    if not np.isfinite(xs).all():
+        raise DivergentMoment(
+            f"E exp(lam * S_k+) is not finite at lam = {lam:g} for some k <= {n}"
+        )
+    size = n + 1
+    system = np.eye(size)
+    neg_rev_x = -xs[::-1]
+    for i in range(1, size):
+        # row i holds -x_i/i, ..., -x_1/i: the last i entries of neg_rev_x
+        np.divide(neg_rev_x[n - i :], i, out=system[i, :i])
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    # every entry is finite (checked on xs above), so skip scipy's scan
+    values = solve_triangular(system, rhs, lower=True, check_finite=False)
+    return moments.MgfSeries(lam=lam, horizon=n, values=values)
+
+
 def rectified_exp_seq_loop(model, lam, n):
     """x_k = E exp(lam * S_k+) of a finite-support model, k = 1..n, with one
     exp and one dot product per step over the laws of sum_distributions."""
@@ -105,6 +132,17 @@ def rectified_moment_seq_loop(model, n):
         m1[k] = np.dot(pos, probs)
         m2[k] = np.dot(pos * pos, probs)
     return m1, m2
+
+
+def lower_bound_argmax_loop(delta, n, alpha):
+    """(lb1, k1) of bounds.lower_bound_detail: the largest segment bound
+    over k = 1..n and its first maximizer, one k at a time."""
+    best_h, best_k = -math.inf, 1
+    for k in range(1, n + 1):
+        h = bounds._segment_lower_bound(delta, n, alpha, k)
+        if h > best_h:
+            best_h, best_k = h, k
+    return best_h, best_k
 
 
 def enumerate_paths(support, probs, n):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusumkit import bounds, models, moments, simulate
 from cusumkit.errors import (
@@ -9,6 +11,8 @@ from cusumkit.errors import (
     NotSupportedModel,
     UnstableQueue,
 )
+
+from _oracles import lower_bound_argmax_loop
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +133,13 @@ class TestLowerThresholds:
     def test_variant_names(self, nllr):
         with pytest.raises(ValueError):
             bounds.threshold_lb(nllr, 10, 0.05, "lb9")
+
+    @given(delta=st.floats(0.01, 80.0), n=st.integers(1, 3000),
+           alpha=st.floats(1e-9, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_envelope_matches_loop(self, delta, n, alpha):
+        detail = bounds.lower_bound_detail(models.NormalLLR(delta), n, alpha)
+        assert (detail.lb1, detail.k1) == lower_bound_argmax_loop(delta, n, alpha)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_empty_horizon_refused(self, nllr, n):

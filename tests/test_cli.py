@@ -20,6 +20,7 @@ from cusumkit.errors import CusumkitError
 from _oracles import (
     convolution_recursion_loop,
     csv_rows,
+    cusum_mgf_matrix_dense,
     json_fragment,
     read_values_per_line,
     rectified_exp_seq_loop,
@@ -861,8 +862,9 @@ class TestGoldenOutput:
     data come on standard input, so the echoed configuration holds no path.
     fig1, fig3 and mgf-recursive print M_n to 17 digits and were recorded
     again for the blocked convolution engine, and mgf-matrix for the
-    blocked sum-law engine; TestRecursionOracleGolden keeps the digests of
-    the loops they replaced.
+    blocked sum-law engine and again for the panel solve of the matrix
+    route; TestRecursionOracleGolden keeps the digests of the loops and the
+    dense solve they replaced.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -872,7 +874,7 @@ class TestGoldenOutput:
         (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
         (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "c06cd4d2770a1fcc8c21979bc032fc4c5ae50f3aff51e2e7bd409a36907229cb"),
         (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
-          "--method", "matrix"], "415ccdc3b3a59445addf98c1e066ca1b34dbd3a1b833bec0c4bf877b818ca184"),
+          "--method", "matrix"], "bfd972fb452815fc6a318c9bef86941b125350949e1d840310913986e08e7141"),
         (_DETECT, "a37af0e13c008188b85c6bf15c280ffff4ae0869a20dcbd2c062df3397be0f13"),
         (_DETECT + ["--mode", "monitor", "--threshold-variant", "custom", "--h", "3"], "f994076aa07cef0a3b386f5021dc5a8929b06aa67f088e92e190fba6a7ff3680"),
         (["figures", "--which", "1", "--n", "200", "--format", "csv"], "0b3ca73be2404669c9ccbd1a92094278d40e1da30e4770a58b902d1cb0ad36c2"),
@@ -952,13 +954,15 @@ _MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli", "mgf-matrix"
 
 @pytest.fixture
 def loop_oracles(monkeypatch):
-    """Returns a function that routes M_n and the rectified sums of finite
-    supports through the loops of tests/_oracles.py.  The moment caches are
-    emptied when it is called and after the test, so no value crosses
-    between the loops and the engines."""
+    """Returns a function that routes M_n, the matrix route's M_n and the
+    rectified sums of finite supports through the loops and the dense solve
+    of tests/_oracles.py.  The moment caches are emptied when it is called
+    and after the test, so no value crosses between the oracles and the
+    engines."""
 
     def use_loops():
         monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
+        monkeypatch.setattr(moments, "cusum_mgf_matrix", cusum_mgf_matrix_dense)
         monkeypatch.setattr(models._DiscreteBase, "rectified_exp_seq", rectified_exp_seq_loop)
         monkeypatch.setattr(models._DiscreteBase, "rectified_moment_seq",
                             rectified_moment_seq_loop)
@@ -990,13 +994,13 @@ def _same_but_numbers(got, want, where="result"):
 
 
 class TestRecursionOracleGolden:
-    """The outputs whose digests moved with the blocked convolution engine
-    or the blocked sum-law engine.
+    """The outputs whose digests moved with the blocked convolution engine,
+    the blocked sum-law engine or the panel solve of the matrix route.
 
-    Through the loops of tests/_oracles.py (the term-by-term recursion and
-    the per-step rectified sums) they keep the bytes recorded before the
-    engines; through the engines they differ from those only in the last
-    digits of numbers.
+    Through the oracles of tests/_oracles.py (the term-by-term recursion,
+    the per-step rectified sums and the dense matrix solve) they keep the
+    bytes recorded before the engines; through the engines they differ from
+    those only in the last digits of numbers.
     """
 
     @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)

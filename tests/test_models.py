@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from cusumkit import cli, models, moments, rng
@@ -182,6 +183,79 @@ class TestLambdaStar:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True,
             timeout=120,
         )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_wrong_tiny_root_of_small_mean_refused(self):
+        # m(lambda) - 1 rounds to 0.0 both at the root 2.0e-10 and at
+        # 6.1e-16; the expm1 sum, the form solved for this mean, does not
+        m = models.DiscreteTable((1.0, -1.0), (0.49999999995, 0.50000000005))
+        assert m.mgf(6.1e-16) - 1.0 == 0.0
+        with mock.patch.object(models.DiscreteTable, "_lambda_star_impl",
+                               lambda self: 6.1e-16):
+            with pytest.raises(NoConvergence, match="expm1"):
+                m.lambda_star()
+
+
+def _root_or_error(solver, f, a, b, **kwargs):
+    try:
+        return solver(f, a, b, **kwargs).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBrentq:
+    """models._brentq is scipy.optimize.brentq: the same root bit for bit,
+    the same error and message."""
+
+    @given(values=st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True),
+           data=st.data(), xtol=st.sampled_from([1e-15, 1e-12, 2e-12]),
+           maxiter=st.sampled_from([3, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_critical_exponent_roots(self, values, data, xtol, maxiter):
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                     max_size=len(values)))
+        y = np.array(values, dtype=float) * data.draw(st.floats(0.01, 3.0))
+        p = np.array(weights) / sum(weights)
+        if max(values) <= 0 or np.dot(y, p) >= 0.0:
+            reject()
+        for f in (lambda t: float(np.dot(np.exp(t * y), p)) - 1.0,
+                  lambda t: float(np.dot(np.expm1(t * y), p))):
+            hi = 1.0
+            while f(hi) <= 0.0:
+                hi *= 2.0
+            lo = hi / 2.0
+            while f(lo) >= 0.0 and lo > 1e-300:
+                lo /= 2.0
+            for a in (lo, 0.0, -hi):
+                args = (f, a, hi)
+                kwargs = dict(xtol=xtol, rtol=1e-15, maxiter=maxiter)
+                assert (_root_or_error(models._brentq, *args, **kwargs)
+                        == _root_or_error(brentq, *args, **kwargs))
+
+    @pytest.mark.parametrize("f", [
+        lambda x: x**3 - 2.0,
+        lambda x: math.tanh(x - 0.3) + 1e-12 * x,
+        lambda x: math.copysign(1.0, x - 0.7),
+        lambda x: 0.0 if abs(x - 0.2) < 1e-3 else x - 0.2,
+        lambda x: 1.0 / (x - 0.4) if x != 0.4 else math.inf,
+        lambda x: math.nan if x > 1.0 else x - 0.5,
+        lambda x: (x - 0.1) ** 3 * 1e-300,
+        lambda x: x * x + 1.0,
+    ], ids=["cubic", "tanh", "step", "flat-zero", "pole", "nan", "tiny", "same-sign"])
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (2.0, -1.0), (0.0, 1.5), (-3.0, 0.9)])
+    @pytest.mark.parametrize("xtol, rtol, maxiter", [
+        (2e-12, 4 * np.finfo(float).eps, 100), (1e-300, 1e-15, 100),
+        (1e-3, 1e-6, 100), (1e-15, 1e-15, 2), (0.0, 1e-15, 100), (1e-12, 1e-17, 100),
+    ], ids=["default", "tight", "loose", "maxiter-2", "xtol-0", "rtol-small"])
+    def test_generic_functions(self, f, a, b, xtol, rtol, maxiter):
+        kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+        assert (_root_or_error(models._brentq, f, a, b, **kwargs)
+                == _root_or_error(brentq, f, a, b, **kwargs))
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        code = "import sys, cusumkit.cli; sys.exit('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
 

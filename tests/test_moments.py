@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import ndtr
 from cusumkit import bounds, models, moments
 from cusumkit.errors import DivergentMoment, FormulaMismatch, TooLarge
 
-from _oracles import convolution_recursion_loop, path_mean_var_mgf
+from _oracles import convolution_recursion_loop, cusum_mgf_matrix_dense, path_mean_var_mgf
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
 
@@ -160,6 +161,37 @@ class TestConvolutionEngine:
         # x_k = 2 for every k gives b_n = n + 1 exactly
         b = moments.convolution_recursion(np.full(300, 2.0))
         np.testing.assert_array_equal(b, np.arange(1.0, 302.0))
+
+
+class TestMatrixPanels:
+    """The matrix route's panel solve against the dense matrix solve."""
+
+    @given(model=_increment_models(), factor=st.floats(0.3, 1.2),
+           n=st.one_of(st.sampled_from([0, 1, 127, 128, 129, 257, 600]),
+                       st.integers(0, 600)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_solve(self, model, factor, n):
+        lam = factor * models.cached_lambda_star(model)
+        try:
+            want = cusum_mgf_matrix_dense(model, lam, n).values
+        except DivergentMoment:
+            reject()
+        if not np.isfinite(want).all():
+            reject()
+        np.testing.assert_allclose(moments.cusum_mgf_matrix(model, lam, n).values,
+                                   want, rtol=1e-13, atol=0.0)
+
+    def test_memory_is_linear_in_the_horizon(self, nllr):
+        # the dense system would take 8 (N+1)^2 bytes, 200 MB at N = 5 000
+        n = 5000
+        moments._x_seq.cache_clear()
+        tracemalloc.start()
+        try:
+            moments.cusum_mgf_matrix(nllr, 1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * (n + 1) ** 2
 
 
 class TestConvolutionKernel:
