@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, ndtri_exp
 
 from .errors import DivergentMoment, InvalidAlpha, NotSupportedModel, UnstableQueue
 from .models import IncrementModel, NormalLLR, _brentq, cached_lambda_star
@@ -55,6 +55,11 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha:g}")
 
 
+def _check_threshold(h: float) -> None:
+    if math.isnan(h):
+        raise ValueError(f"threshold h must be a number, got {h:g}")
+
+
 def scaled_discrepancy(model: IncrementModel) -> float:
     """E(1 - exp(lambda* Y))+, the discrepancy of the rescaled increments."""
     return model.one_minus_exp_pos_mean(cached_lambda_star(model))
@@ -69,8 +74,7 @@ def exp_moment_upper(model: IncrementModel, n: int) -> float:
 
 def max_tail_upper(model: IncrementModel, n: int, h: float) -> float:
     """Upper bound on P(max over [0, n] of W_t >= h), clamped at 1."""
-    if math.isnan(h):
-        raise ValueError(f"threshold h must be a number, got {h:g}")
+    _check_threshold(h)
     lam_star = cached_lambda_star(model)
     return min(math.exp(-lam_star * h) * exp_moment_upper(model, n), 1.0)
 
@@ -82,6 +86,7 @@ def max_tail_lower(model: IncrementModel, n: int, h: float, k: int) -> float:
     Valid for any segment length k in [1, n]; the tightest choice depends
     on (h, n, delta).  Normal-specific.
     """
+    _check_threshold(h)
     if not isinstance(model, NormalLLR):
         raise NotSupportedModel(
             "segment tail bounds are normal-specific; got "
@@ -126,14 +131,6 @@ class LowerBoundDetail:
     lb_at_fixed_point: float
 
 
-def _segment_lower_bound(delta: float, n: int, alpha: float, k: int) -> float:
-    segments = n // k
-    if segments < 1:
-        return -math.inf
-    q = (1.0 - alpha) ** (1.0 / segments)
-    return delta * math.sqrt(k) * float(ndtri(q)) - k * delta**2 / 2.0
-
-
 def _fixed_point_k(delta: float, n: int) -> float:
     # root of x * exp((x + delta^2/2)^2 / (2 delta^2)) = n, solved for
     # u = log x, where the equation reads f(u) = 0 with f increasing.  At
@@ -161,14 +158,20 @@ def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoun
             f"{type(model).__name__}"
         )
     delta = model.delta
-    # _segment_lower_bound for every k = 1..n at once, bit for bit: q is
-    # Python's power (np.power differs in the last ulp) once per distinct
-    # n // k, of which there are about 2 sqrt(n)
+    # h[k - 1] = delta sqrt(k) z_s - k delta^2 / 2, the level at which each
+    # of the s = n // k segments of length k crosses with probability
+    # 1 - q, q = (1 - alpha)^(1/s) and z_s = ndtri(q).  q is Python's power
+    # (np.power differs in the last ulp), once per distinct s, of which
+    # there are about 2 sqrt(n).
     k = np.arange(1, n + 1)
     segments, where = np.unique(n // k, return_inverse=True)
     q = np.array([(1.0 - alpha) ** (1.0 / s) for s in segments.tolist()])
+    z = ndtri(q)
+    top = q == 1.0  # alpha / s below rounding: ndtri(1.0) is inf
+    if top.any():
+        z[top] = ndtri_exp(math.log1p(-alpha) / segments[top])
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        h = delta * np.sqrt(k) * ndtri(q)[where] - k * delta**2 / 2.0
+        h = delta * np.sqrt(k) * z[where] - k * delta**2 / 2.0
     h[np.isnan(h)] = -math.inf  # the loop's `h > best_h` never takes a NaN
     best = int(np.argmax(h))
     best_h, best_k = float(h[best]), best + 1
@@ -177,9 +180,9 @@ def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoun
     return LowerBoundDetail(
         lb1=best_h,
         k1=best_k,
-        lb2=_segment_lower_bound(delta, n, alpha, 1),
+        lb2=float(h[0]),
         fixed_point_k=fp,
-        lb_at_fixed_point=_segment_lower_bound(delta, n, alpha, fp_k),
+        lb_at_fixed_point=float(h[fp_k - 1]),
     )
 
 
@@ -228,6 +231,7 @@ def stopped_tail_bound(discrepancy: float, expected_stop: float, h: float) -> fl
     This is the literal compensator/Lenglart bound on the stopped process;
     it is used here as a tail bound for the running maximum up to T.
     """
+    _check_threshold(h)
     if not 0.0 <= discrepancy <= 1.0:
         raise ValueError("discrepancy must lie in [0, 1]")
     if expected_stop <= 0.0 or not math.isfinite(expected_stop):

@@ -23,8 +23,8 @@ class NotAnLLRModel(CusumkitError):
 
 
 class TooLarge(CusumkitError):
-    """Input beyond a size guard: partition summation past its horizon, or
-    finite-support keys or their n-step sums outside int64."""
+    """Input beyond a size guard: finite-support keys or their n-step sums
+    outside int64, or sparse sum laws past their atom budget."""
 
 
 class NoConvergence(CusumkitError):

@@ -45,7 +45,6 @@ __all__ = [
     "ShiftedNormal",
     "BernoulliPM",
     "DiscreteTable",
-    "RateFunction",
     "Spec",
     "parse_model",
 ]
@@ -235,12 +234,6 @@ class IncrementModel:
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         """Array of x_k = E exp(lam * S_k+) for k = 1..n."""
         raise NotImplementedError
-
-    def rectified_exp_moment(self, lam: float, n: int) -> float:
-        """E exp(lam * S_n+)."""
-        if lam == 0.0:
-            return 1.0
-        return float(self.rectified_exp_seq(lam, n)[n - 1])
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Arrays of E S_k+ and E (S_k+)^2 for k = 1..n."""
@@ -1002,29 +995,6 @@ class DiscreteTable(_DiscreteBase):
         y = ";".join(f"{v:.17g}" for v in self.values)
         p = ";".join(f"{w:.17g}" for w in self.weights)
         return f"table:y={y},p={p}" + (",llr" if self.llr else "")
-
-
-# ---------------------------------------------------------------------------
-# rate-function view
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateFunction:
-    """Cramer rate function of an increment model as a callable object."""
-
-    model: IncrementModel
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.model.rate_domain()
-
-    def __call__(self, x: float) -> float:
-        return self.model.rate_function(x)[0]
-
-    def maximizer(self, x: float) -> float:
-        """lambda(x), the tilt achieving the supremum at x."""
-        return self.model.rate_function(x)[1]
 
 
 # ---------------------------------------------------------------------------

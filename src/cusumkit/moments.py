@@ -1,14 +1,13 @@
 """Exact CUSUM moment and MGF sequences.
 
-Four independent routes to the exponential moments M_n(lambda) =
-E exp(lambda * W_n) are provided: the convolution recursion, solved by
-blocked forward substitution, the row-scaled unit lower-triangular system,
-solved in panels without forming its matrix, brute-force
-integer-partition summation (small n), and the rescaled-Bell-polynomial
-view.  They must agree to float precision and the tests enforce it; the
-tests also hold the one-term-at-a-time O(N^2) loop and the dense matrix
-solve (tests/_oracles.py, convolution_recursion_loop and
-cusum_mgf_matrix_dense) that the two blocked routes must match to 1e-13.
+Two routes to the exponential moments M_n(lambda) = E exp(lambda * W_n)
+are provided: the convolution recursion, solved by blocked forward
+substitution (cusum_mgf_recursive), and the row-scaled unit
+lower-triangular system, solved in panels without forming its matrix
+(cusum_mgf_matrix, behind ``mgf --method matrix``).  The tests hold the
+independent references they must match (tests/_oracles.py): the
+one-term-at-a-time O(N^2) loop of the recursion, the dense matrix solve
+and, for small n, brute-force integer-partition summation.
 
 Variance note: the published recursive increment for Var W_n does not
 reproduce the direct expression derived from the generating function (its
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import DivergentMoment, FormulaMismatch, NoConvergence, TooLarge
+from .errors import DivergentMoment, FormulaMismatch, NoConvergence
 from .models import IncrementModel, cached_lambda_star
 
 __all__ = [
@@ -40,12 +39,9 @@ __all__ = [
     "moment_table",
     "cusum_mgf_recursive",
     "cusum_mgf_matrix",
-    "cusum_mgf_partitions",
-    "rescaled_bell",
     "asymptote_slope",
 ]
 
-_PARTITION_LIMIT = 12
 # rows per forward-substitution block of convolution_recursion; 64 and 256
 # were slower at N = 2 000 and 20 000
 _BLOCK = 128
@@ -230,58 +226,6 @@ def cusum_mgf_matrix(model: IncrementModel, lam: float, n: int) -> MgfSeries:
         # convolution_recursion; the zero diagonal is read as ones
         values[i0:i1], _ = dtrtrs(panel.T, rhs, lower=0, trans=1, unitdiag=1)
     return MgfSeries(lam=lam, horizon=n, values=values)
-
-
-def _partitions(total: int, largest: int):
-    """Partitions of `total` as nonincreasing part lists."""
-    if total == 0:
-        yield []
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield [part] + rest
-
-
-def cusum_mgf_partitions(model: IncrementModel, lam: float, n: int) -> float:
-    """M_n(lambda) by direct summation over integer partitions of n.
-
-    Each partition with multiplicities (k_1..k_n) contributes
-    prod_r x_r^{k_r} / (r^{k_r} k_r!).  Guarded to n <= 12; this is the
-    slow oracle for the recursive and matrix routes.
-    """
-    _check_lambda(lam)
-    if n > _PARTITION_LIMIT:
-        raise TooLarge(f"partition summation limited to n <= {_PARTITION_LIMIT}")
-    if n == 0:
-        return 1.0
-    xs = _x_seq(model, lam, n)
-    log_space = bool(np.max(xs) > 1e300)
-    total = 0.0
-    for parts in _partitions(n, n):
-        mult: dict[int, int] = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        if log_space:
-            log_term = sum(
-                k * (math.log(xs[r - 1]) - math.log(r)) - math.lgamma(k + 1)
-                for r, k in mult.items()
-            )
-            total += math.exp(log_term)
-        else:
-            term = 1.0
-            for r, k in mult.items():
-                term *= xs[r - 1] ** k / (r**k * math.factorial(k))
-            total += term
-    return total
-
-
-def rescaled_bell(xs) -> np.ndarray:
-    """Rescaled Bell polynomial sequence B~_0..B~_N of the inputs.
-
-    B~_0 = 1 and B~_{n+1} = (1/(n+1)) sum_{k<=n} B~_k x_{n-k+1}; feeding
-    the rectified exponential moments reproduces the CUSUM MGF sequence.
-    """
-    return convolution_recursion(np.asarray(xs, dtype=float))
 
 
 def asymptote_slope(

@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: numeric quadrature for normal
-expectations, exhaustive path enumeration for discrete walks, one dot
-product per term of the convolution recursion, a dense (N+1)^2 matrix for
-the row-scaled MGF system, one exp and one dot product per step of the
+expectations, exhaustive path enumeration for discrete walks, a sum over
+the integer partitions of n for one exponential moment, one dot product
+per term of the convolution recursion, a dense (N+1)^2 matrix for the
+row-scaled MGF system, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
 line and one formatting call per output value.  The production code must
@@ -18,8 +19,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
+from scipy.special import ndtri, ndtri_exp
 
-from cusumkit import bounds, models, moments
+from cusumkit import models, moments
 from cusumkit.detect import CusumState
 from cusumkit.errors import CusumkitError, DivergentMoment
 
@@ -57,6 +59,46 @@ def quad_one_minus_exp_pos(mu, sd, lam):
         -np.inf,
         0.0,
     )[0]
+
+
+def _partitions(total, largest):
+    """Partitions of `total` as nonincreasing part lists."""
+    if total == 0:
+        yield []
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield [part] + rest
+
+
+def mgf_partitions(model, lam, n):
+    """M_n(lambda) by direct summation over the integer partitions of n.
+
+    Each partition with multiplicities (k_1..k_n) contributes
+    prod_r x_r^{k_r} / (r^{k_r} k_r!); there are exp(O(sqrt n)) of them,
+    so keep n small.
+    """
+    if n == 0:
+        return 1.0
+    xs = model.rectified_exp_seq(lam, n)
+    log_space = bool(np.max(xs) > 1e300)
+    total = 0.0
+    for parts in _partitions(n, n):
+        mult = {}
+        for p in parts:
+            mult[p] = mult.get(p, 0) + 1
+        if log_space:
+            log_term = sum(
+                k * (math.log(xs[r - 1]) - math.log(r)) - math.lgamma(k + 1)
+                for r, k in mult.items()
+            )
+            total += math.exp(log_term)
+        else:
+            term = 1.0
+            for r, k in mult.items():
+                term *= xs[r - 1] ** k / (r**k * math.factorial(k))
+            total += term
+    return total
 
 
 def convolution_recursion_loop(x):
@@ -134,12 +176,26 @@ def rectified_moment_seq_loop(model, n):
     return m1, m2
 
 
+def segment_lower_bound(delta, n, alpha, k):
+    """The level at which each of the n // k length-k segments of a normal
+    LLR walk crosses with probability 1 - (1 - alpha)^(1 / (n // k))."""
+    segments = n // k
+    if segments < 1:
+        return -math.inf
+    q = (1.0 - alpha) ** (1.0 / segments)
+    if q < 1.0:
+        z = float(ndtri(q))
+    else:  # alpha / segments below rounding: ndtri(1.0) is inf
+        z = float(ndtri_exp(math.log1p(-alpha) / segments))
+    return delta * math.sqrt(k) * z - k * delta**2 / 2.0
+
+
 def lower_bound_argmax_loop(delta, n, alpha):
     """(lb1, k1) of bounds.lower_bound_detail: the largest segment bound
     over k = 1..n and its first maximizer, one k at a time."""
     best_h, best_k = -math.inf, 1
     for k in range(1, n + 1):
-        h = bounds._segment_lower_bound(delta, n, alpha, k)
+        h = segment_lower_bound(delta, n, alpha, k)
         if h > best_h:
             best_h, best_k = h, k
     return best_h, best_k

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from cusumkit import bounds, models, moments, simulate
 from cusumkit.errors import (
@@ -12,7 +13,7 @@ from cusumkit.errors import (
     UnstableQueue,
 )
 
-from _oracles import lower_bound_argmax_loop
+from _oracles import lower_bound_argmax_loop, segment_lower_bound
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,22 @@ class TestLowerThresholds:
     def test_envelope_matches_loop(self, delta, n, alpha):
         detail = bounds.lower_bound_detail(models.NormalLLR(delta), n, alpha)
         assert (detail.lb1, detail.k1) == lower_bound_argmax_loop(delta, n, alpha)
+        assert detail.lb2 == segment_lower_bound(delta, n, alpha, 1)
+        fp_k = max(1, min(n, int(round(detail.fixed_point_k))))
+        assert detail.lb_at_fixed_point == segment_lower_bound(delta, n, alpha, fp_k)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-20, 1e-300])
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_alpha_below_rounding_gives_finite_bounds(self, nllr, n, alpha):
+        # 1 - alpha rounds to 1, so (1 - alpha)^(1/s) does too
+        detail = bounds.lower_bound_detail(nllr, n, alpha)
+        assert math.isfinite(detail.lb1) and math.isfinite(detail.lb2)
+        assert detail.lb2 <= detail.lb1 <= bounds.threshold_ub(nllr, n, alpha, "ub1")
+        assert (detail.lb1, detail.k1) == lower_bound_argmax_loop(1.0, n, alpha)
+        delta = nllr.delta
+        for h, k in ((detail.lb2, 1), (detail.lb1, detail.k1)):
+            z = (h + k * delta**2 / 2.0) / (delta * math.sqrt(k))
+            assert z == pytest.approx(-float(ndtri(alpha / (n // k))), rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_empty_horizon_refused(self, nllr, n):
@@ -156,7 +173,7 @@ class TestTailLowerEnvelope:
     def test_consistent_with_threshold_inversion(self, nllr):
         # solving 1 - Phi^{n//k}(..) = alpha at k gives the segment bound
         n, alpha, k = 500, 0.05, 7
-        h = bounds._segment_lower_bound(nllr.delta, n, alpha, k)
+        h = segment_lower_bound(nllr.delta, n, alpha, k)
         assert bounds.max_tail_lower(nllr, n, h, k) == pytest.approx(
             alpha, rel=1e-10
         )
@@ -210,9 +227,14 @@ class TestStoppedAndQueueBounds:
         with pytest.raises(ValueError):
             bounds.stopped_tail_bound(0.5, -1.0, 1.0)
 
-    def test_nan_threshold_refused(self):
-        with pytest.raises(ValueError, match="got nan"):
-            bounds.max_tail_upper(models.ShiftedNormal(-0.5, 1.0), 10, math.nan)
+    def test_nan_threshold_refused(self, nllr):
+        for call in (
+            lambda: bounds.max_tail_upper(models.ShiftedNormal(-0.5, 1.0), 10, math.nan),
+            lambda: bounds.max_tail_lower(nllr, 10, math.nan, 2),
+            lambda: bounds.stopped_tail_bound(0.5, 10.0, math.nan),
+        ):
+            with pytest.raises(ValueError, match="^threshold h must be a number, got nan$"):
+                call()
 
     def test_queue_requires_negative_drift(self):
         with pytest.raises(UnstableQueue):

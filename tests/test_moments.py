@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cusumkit import bounds, models, moments
-from cusumkit.errors import DivergentMoment, FormulaMismatch, TooLarge
+from cusumkit.errors import DivergentMoment, FormulaMismatch
 
-from _oracles import convolution_recursion_loop, cusum_mgf_matrix_dense, path_mean_var_mgf
+from _oracles import (
+    convolution_recursion_loop,
+    cusum_mgf_matrix_dense,
+    mgf_partitions,
+    path_mean_var_mgf,
+)
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
 
@@ -70,19 +75,17 @@ class TestCrossMethodIdentity:
     @pytest.mark.parametrize("delta", [0.1, 1.0, 5.0])
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_recursive_matrix_partitions_bell_agree(self, delta, lam):
+        # the blocked recursion against the matrix route, the partition sum
+        # and the rescaled-Bell recursion taken one term at a time
         m = models.NormalLLR(delta)
         n = 12
         rec = moments.cusum_mgf_recursive(m, lam, n).values
         mat = moments.cusum_mgf_matrix(m, lam, n).values
         np.testing.assert_allclose(mat, rec, rtol=1e-12)
-        part = moments.cusum_mgf_partitions(m, lam, n)
+        part = mgf_partitions(m, lam, n)
         assert part == pytest.approx(rec[n], rel=1e-12)
-        bell = moments.rescaled_bell(m.rectified_exp_seq(lam, n))
+        bell = convolution_recursion_loop(m.rectified_exp_seq(lam, n))
         np.testing.assert_allclose(bell, rec, rtol=1e-13)
-
-    def test_partition_guard(self, nllr):
-        with pytest.raises(TooLarge):
-            moments.cusum_mgf_partitions(nllr, 1.0, 13)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_matrix_refuses_non_finite_x(self, nllr, monkeypatch, bad):
@@ -93,8 +96,7 @@ class TestCrossMethodIdentity:
             moments.cusum_mgf_matrix(nllr, 1.0, 6)
 
     @pytest.mark.parametrize("route", [moments.cusum_mgf_recursive,
-                                       moments.cusum_mgf_matrix,
-                                       moments.cusum_mgf_partitions])
+                                       moments.cusum_mgf_matrix])
     def test_nan_lambda_refused(self, nllr, route):
         with pytest.raises(ValueError, match="got nan"):
             route(nllr, math.nan, 5)
