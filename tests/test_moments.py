@@ -120,9 +120,11 @@ def _increment_models(draw):
     values = draw(st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
                             max_size=len(values)))
-    probs = tuple(w / sum(weights) for w in weights)
-    if max(values) <= 0 or np.dot(values, probs) >= 0.0:
+    # the sign of the mean is taken in integers: the float dot product of a
+    # zero-mean table can round to -1e-16 and pass as negative
+    if max(values) <= 0 or sum(v * w for v, w in zip(values, weights)) >= 0:
         reject()
+    probs = tuple(w / sum(weights) for w in weights)
     return models.DiscreteTable(tuple(map(float, values)), probs)
 
 
