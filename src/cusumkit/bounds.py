@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, ndtri_exp
+from scipy.special import ndtr, ndtri_exp
 
 from .errors import DivergentMoment, InvalidAlpha, NotSupportedModel, UnstableQueue
-from .models import IncrementModel, NormalLLR, _brentq, cached_lambda_star
+from .models import IncrementModel, NormalLLR, _newton_root, cached_lambda_star
 from .moments import cusum_mgf_recursive
 
 __all__ = [
@@ -145,7 +145,8 @@ def _fixed_point_k(delta: float, n: int) -> float:
         lo *= 2.0
     while f(hi) < 0.0:
         hi *= 2.0
-    return math.exp(_brentq(f, lo, hi, xtol=1e-12))
+    fprime = lambda u: 1.0 + math.exp(u) / 2.0 + (math.exp(u) / delta) ** 2  # noqa: E731
+    return math.exp(_newton_root(f, fprime, lo, hi))
 
 
 def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoundDetail:
@@ -160,16 +161,12 @@ def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoun
     delta = model.delta
     # h[k - 1] = delta sqrt(k) z_s - k delta^2 / 2, the level at which each
     # of the s = n // k segments of length k crosses with probability
-    # 1 - q, q = (1 - alpha)^(1/s) and z_s = ndtri(q).  q is Python's power
-    # (np.power differs in the last ulp), once per distinct s, of which
-    # there are about 2 sqrt(n).
+    # 1 - q, q = (1 - alpha)^(1/s).  z_s = ndtri(q) is taken as
+    # ndtri_exp(log q), which keeps its digits where q is near or at 1,
+    # once per distinct s, of which there are about 2 sqrt(n).
     k = np.arange(1, n + 1)
     segments, where = np.unique(n // k, return_inverse=True)
-    q = np.array([(1.0 - alpha) ** (1.0 / s) for s in segments.tolist()])
-    z = ndtri(q)
-    top = q == 1.0  # alpha / s below rounding: ndtri(1.0) is inf
-    if top.any():
-        z[top] = ndtri_exp(math.log1p(-alpha) / segments[top])
+    z = ndtri_exp(math.log1p(-alpha) / segments)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
         h = delta * np.sqrt(k) * z[where] - k * delta**2 / 2.0
     h[np.isnan(h)] = -math.inf  # the loop's `h > best_h` never takes a NaN

@@ -479,10 +479,18 @@ def _replace_file(path: str, text: str) -> None:
         raise
 
 
+def _refuse_overflow(w: np.ndarray, t0: int) -> None:
+    """Name the first W that is not finite; w[i] is W after observation
+    t0 + i + 1, before any alarm's reset."""
+    i = int(np.argmin(np.isfinite(w)))
+    raise CusumkitError(f"observation {t0 + i + 1}: W = {w[i]:g} leaves float64")
+
+
 def _cmd_detect(args) -> None:
     pair = _build_pair(args)
     data = _read_values(args.input, args.field)
-    increments = detect.llr_increments(pair, data)
+    with np.errstate(over="ignore"):  # W = inf is refused below; -inf clamps to 0
+        increments = detect.llr_increments(pair, data)
     n = len(increments)
 
     if args.threshold_variant == "custom":
@@ -507,6 +515,11 @@ def _cmd_detect(args) -> None:
                     raise CusumkitError(f"state file {args.state}: {exc}") from None
         t0 = state.t
         state, new_alarms, path = detect.monitor_run(state, increments, h)
+        if not (math.isfinite(state.w) and math.isfinite(state.running_max)):
+            before = path.copy()
+            for t, v in new_alarms:
+                before[t - t0 - 1] = v
+            _refuse_overflow(before, t0)
         if args.state:
             _replace_file(args.state, state.to_json())
         result = {
@@ -522,7 +535,10 @@ def _cmd_detect(args) -> None:
         if args.emit_path or args.format == "csv":
             rows = Table(np.arange(t0 + 1, state.t + 1), path)
     else:
-        report = detect.scan_offline(increments, h)
+        with np.errstate(over="ignore"):  # refused below
+            report = detect.scan_offline(increments, h)
+        if not math.isfinite(report.statistic_max):
+            _refuse_overflow(report.path[1:], 0)
         statistic = (
             report.statistic_final if args.mode == "abrupt" else report.statistic_max
         )

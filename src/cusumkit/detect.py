@@ -50,6 +50,11 @@ class NormalPair:
             raise ValueError("sigma must be positive")
         if self.theta0 == self.theta1:
             raise ValueError("hypotheses must differ")
+        # the slope of llr; a sigma^2 that underflows to 0 leaves it undefined
+        if not math.isfinite((self.theta1 - self.theta0) / (self.sigma**2 or math.nan)):
+            raise ValueError(f"the llr slope (theta1 - theta0) / sigma^2 is not finite "
+                             f"for theta0 = {self.theta0:g}, theta1 = {self.theta1:g}, "
+                             f"sigma = {self.sigma:g}")
 
     @property
     def delta(self) -> float:

@@ -72,6 +72,9 @@ _SPARSE_MAX_ATOMS = 10**7
 _MAX_KEY = 2**63  # int64 keys, and every partial sum of them, stay below this
 # draws per slice of the finite-support inverse CDF
 _QUANTILE_SLICE = 1 << 16
+# values of f one root search may take; the searches of the test suite
+# take at most 51
+_MAX_EVALS = 100
 _MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
 # up to exp(600), masses too small for float64 (or pruned below 1e-300)
 # weigh less than 1e-39 each in E exp(lam * S_k+)
@@ -189,8 +192,7 @@ class IncrementModel:
                     f"m(lambda) >= 1 down to the smallest lambda > 0 although "
                     f"mean(Y) = {self.mean():g}: the mean is 0 up to rounding"
                 )
-        root = _brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
-        return _polish_root(lambda t: self.mgf(t) - 1.0, self.mgf_prime, root)
+        return _newton_root(f, self.mgf_prime, lo, hi)
 
     # -- rate function ---------------------------------------------------
 
@@ -214,18 +216,15 @@ class IncrementModel:
         lo, hi = self.rate_domain()
         if not lo < x < hi:
             raise OutOfDomain(f"x = {x:g} outside the rate domain ({lo:g}, {hi:g})")
-        if x == self.mean():  # pragma: no cover - open-interval guard above
-            return 0.0, 0.0
 
-        def tilt_mean(lam: float) -> float:
-            return self.mgf_prime(lam) / self.mgf(lam)
+        def excess(lam: float) -> float:
+            """The tilted mean minus x: increasing, and EY - x < 0 at 0."""
+            return self.mgf_prime(lam) / self.mgf(lam) - x
 
-        # tilt_mean is strictly increasing with tilt_mean(0) = EY < x.
         a, b = 0.0, 1.0
-        while tilt_mean(b) < x:
+        while excess(b) < 0.0:
             a, b = b, 2.0 * b
-        lam = _brentq(lambda t: tilt_mean(t) - x, a, b, xtol=1e-15, rtol=1e-15)
-        lam = _polish_root(lambda t: tilt_mean(t) - x, self.tilt_var, lam)
+        lam = _newton_root(excess, self.tilt_var, a, b)
         rate = lam * x - math.log(self.mgf(lam))
         return max(rate, 0.0), lam
 
@@ -268,78 +267,41 @@ class IncrementModel:
         raise NotImplementedError
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS,
-            maxiter: int = 100) -> float:
-    """scipy.optimize.brentq(f, a, b, xtol, rtol, maxiter), operation for
-    operation after scipy's brentq.c, so the same root bit for bit and the
-    same ValueError or RuntimeError, without the slow import of
-    scipy.optimize."""
+def _newton_root(f, fprime, lo: float, hi: float) -> float:
+    """The root of an increasing f in [lo, hi], f(lo) <= 0 <= f(hi).
 
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4.0 * _EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _EPS:g})")
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan  # bisect unless a short step is good
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's inf or NaN step, never a short one
-                pass
-        limit = min(abs(spre), 3 * abs(sbis) - delta)
-        if 2 * abs(stry) < limit:  # good short step
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _polish_root(f, fprime, root: float) -> float:
-    """One or two safeguarded Newton steps to push |f| to <= 1e-12."""
-    for _ in range(3):
-        fx = f(root)
-        if abs(fx) <= _ROOT_TOL:
-            return root
-        d = fprime(root)
-        if d == 0.0:  # pragma: no cover
-            break
-        root -= fx / d
-    return root
+    Each step moves one end to the Newton step from the end with the
+    smaller |f| (to the next float, if that step rounds to 0), or to the
+    midpoint when the step is not finite, leaves the bracket, or the bracket
+    has not halved in two steps.  The end with the smaller |f| is returned
+    at an exact zero or once no float lies between the ends.  NaN values,
+    ends of one sign and _MAX_EVALS values of f short of that raise
+    NoConvergence.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is +-inf
+        flo, fhi = float(f(lo)), float(f(hi))
+        widths = [math.inf, math.inf]  # of the bracket before each step
+        while flo < 0.0 < fhi and lo < 0.5 * (lo + hi) < hi:
+            if len(widths) == _MAX_EVALS:
+                raise NoConvergence(f"root search: [{lo!r}, {hi!r}] holds floats "
+                                    f"after {_MAX_EVALS} values of f")
+            x, fx, far = (lo, flo, hi) if -flo < fhi else (hi, fhi, lo)
+            d = float(fprime(x))
+            t = x - fx / d if d > 0.0 else math.nan
+            if t == x:
+                t = math.nextafter(x, far)
+            if not (lo < t < hi and hi - lo <= 0.5 * widths[-2]):
+                t = 0.5 * (lo + hi)
+            widths.append(hi - lo)
+            ft = float(f(t))
+            if ft < 0.0:
+                lo, flo = t, ft
+            else:
+                hi, fhi = t, ft
+    if not flo <= 0.0 <= fhi:  # a NaN, or ends of one sign
+        raise NoConvergence(f"root search: f({lo!r}) = {flo:g} and f({hi!r}) = {fhi:g} "
+                            "bracket no root")
+    return lo if -flo < fhi else hi
 
 
 # ---------------------------------------------------------------------------
@@ -798,11 +760,13 @@ class _DiscreteBase(IncrementModel):
 
     def mgf_prime(self, lam: float) -> float:
         s = np.asarray(self.support)
-        return float(np.dot(s * np.exp(lam * s), self.probs))
+        with np.errstate(over="ignore"):  # as in mgf
+            return float(np.dot(s * np.exp(lam * s), self.probs))
 
     def _mgf_second(self, lam: float) -> float:
         s = np.asarray(self.support)
-        return float(np.dot(s * s * np.exp(lam * s), self.probs))
+        with np.errstate(over="ignore"):
+            return float(np.dot(s * s * np.exp(lam * s), self.probs))
 
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
@@ -813,7 +777,8 @@ class _DiscreteBase(IncrementModel):
 
     def _expm1_sum(self, lam: float) -> float:
         """m(lam) - 1 summed as sum p * expm1(lam * y)."""
-        return float(np.dot(np.expm1(lam * np.asarray(self.support)), self.probs))
+        with np.errstate(over="ignore"):
+            return float(np.dot(np.expm1(lam * np.asarray(self.support)), self.probs))
 
     def _lambda_star_impl(self) -> float:
         # Near 0, m(lambda) - 1 = lambda * mean(Y) + O(lambda^2).  Summed as

@@ -7,11 +7,13 @@ per term of the convolution recursion, a dense (N+1)^2 matrix for the
 row-scaled MGF system, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
-line and one formatting call per output value.  The production code must
-match these, never the other way around.
+line, one formatting call per output value, scipy's brentq for roots and a
+50-digit decimal bisection for the critical exponent.  The production code
+must match these, never the other way around.
 """
 
 import dataclasses
+import decimal
 import itertools
 import json
 import math
@@ -19,7 +21,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
-from scipy.special import ndtri, ndtri_exp
+from scipy.optimize import brentq
+from scipy.special import ndtri_exp
 
 from cusumkit import models, moments
 from cusumkit.detect import CusumState
@@ -182,11 +185,7 @@ def segment_lower_bound(delta, n, alpha, k):
     segments = n // k
     if segments < 1:
         return -math.inf
-    q = (1.0 - alpha) ** (1.0 / segments)
-    if q < 1.0:
-        z = float(ndtri(q))
-    else:  # alpha / segments below rounding: ndtri(1.0) is inf
-        z = float(ndtri_exp(math.log1p(-alpha) / segments))
+    z = float(ndtri_exp(math.log1p(-alpha) / segments))  # ndtri of that power
     return delta * math.sqrt(k) * z - k * delta**2 / 2.0
 
 
@@ -199,6 +198,66 @@ def lower_bound_argmax_loop(delta, n, alpha):
         if h > best_h:
             best_h, best_k = h, k
     return best_h, best_k
+
+
+def lambda_star_brentq(model):
+    """lambda* of a finite support by the library's route up to version
+    0.2.0: scipy's brentq (xtol = rtol = 1e-15) on the library's bracket and
+    form, then up to three Newton steps on m - 1 that stop once
+    |m - 1| <= 1e-12."""
+    f = model._expm1_sum if model._solves_expm1() else (lambda t: model.mgf(t) - 1.0)
+    hi = 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while f(lo) >= 0.0:
+        lo /= 2.0
+    root = brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
+    for _ in range(3):
+        excess = model.mgf(root) - 1.0
+        if abs(excess) <= 1e-12:
+            break
+        root -= excess / model.mgf_prime(root)
+    return root
+
+
+def expm1_root_decimal(model, lo, hi):
+    """The root in (lo, hi) of sum p expm1(lambda y) = 0 over the float
+    support and probabilities, by bisection in 50-digit decimal arithmetic,
+    rounded to the nearest float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        terms = [(decimal.Decimal(y), decimal.Decimal(p))
+                 for y, p in zip(model.support, model.probs)]
+
+        def f(lam):
+            return sum(p * ((lam * y).exp() - 1) for y, p in terms)
+
+        a, b = decimal.Decimal(lo), decimal.Decimal(hi)
+        if not f(a) < 0 < f(b):
+            raise ValueError(f"({lo!r}, {hi!r}) does not bracket the root")
+        while b - a > b * decimal.Decimal("1e-40"):
+            mid = (a + b) / 2
+            if f(mid) < 0:
+                a = mid
+            else:
+                b = mid
+        return float((a + b) / 2)
+
+
+def fixed_point_k_brentq(delta, n):
+    """bounds._fixed_point_k by scipy's brentq to full relative precision
+    (rtol = 4 eps) on the same equation and bracket."""
+    def f(u):
+        x = math.exp(u)
+        return u + delta**2 / 8.0 + x / 2.0 + (x / delta) ** 2 / 2.0 - math.log(n)
+
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0.0:
+        lo *= 2.0
+    while f(hi) < 0.0:
+        hi *= 2.0
+    return math.exp(brentq(f, lo, hi, xtol=1e-300))
 
 
 def enumerate_paths(support, probs, n):

@@ -158,6 +158,12 @@ class TestLowerThresholds:
             z = (h + k * delta**2 / 2.0) / (delta * math.sqrt(k))
             assert z == pytest.approx(-float(ndtri(alpha / (n // k))), rel=1e-12)
 
+    def test_small_alpha_keeps_its_digits(self, nllr):
+        # q = (1 - 1e-15)^(1/10) lies 1e-16 below 1, where ndtri(q) kept
+        # about 3 digits (lb2 = 7.70954); ndtri_exp(log q) keeps them all
+        lb2 = bounds.lower_bound_detail(nllr, 10, 1e-15).lb2
+        assert lb2 == pytest.approx(-float(ndtri(1e-16)) - 0.5, rel=1e-12)
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_empty_horizon_refused(self, nllr, n):
         with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):

@@ -219,12 +219,31 @@ class TestNanParameters:
           "--alpha", "0.05"], "sigma must have a finite square, got 1e+160"),
         (["moments", "--model", "normal-llr:delta=1,sigma=3", "--n", "3"],
          "spec 'normal-llr:delta=1,sigma=3' has unknown field 'sigma'"),
+        # sigma^2 underflows to 0, or (theta1 - theta0) / sigma^2 overflows
+        (["detect", "--theta0", "0", "--theta1", "1", "--sigma", "1e-200"],
+         "the llr slope (theta1 - theta0) / sigma^2 is not finite for theta0 = 0, "
+         "theta1 = 1, sigma = 1e-200"),
+        (["detect", "--theta0", "0", "--theta1", "1", "--sigma", "1e-160"],
+         "the llr slope (theta1 - theta0) / sigma^2 is not finite for theta0 = 0, "
+         "theta1 = 1, sigma = 1e-160"),
+        (["detect", "--theta0", "0"],
+         "CusumkitError: --theta0 and --theta1 must be given together"),
+        (["detect"], "CusumkitError: provide --f/--g or --theta0/--theta1/--sigma"),
+        (["detect", "--theta0", "0", "--theta1", "1", "--threshold-variant", "custom"],
+         "CusumkitError: --threshold-variant custom requires --h"),
+        (["moments", "--model", "table:y=1;-1,p=1", "--n", "3"],
+         "support and probabilities must match and be nonempty"),
+        (["moments", "--model", "table:y=1;-1,p=1.5;-0.5", "--n", "3"],
+         "probabilities must lie in [0, 1]"),
     ], ids=["detect-scan", "detect-monitor", "mgf", "mgf-matrix", "queue-bound",
             "regimes", "normal-llr-delta", "shifted-normal-sigma", "shifted-normal-a",
             "table-values", "mgf-inf", "mgf-neg-inf", "mgf-matrix-inf", "simulate-inf",
             "simulate-overflow", "regimes-inf", "regimes-overflow",
             "regimes-overflow-bernoulli", "normal-llr-delta-square",
-            "threshold-delta-square", "threshold-sigma-square", "spec-unknown-field"])
+            "threshold-delta-square", "threshold-sigma-square", "spec-unknown-field",
+            "detect-sigma-square-zero", "detect-slope-overflow", "detect-theta0-alone",
+            "detect-no-pair", "detect-custom-without-h", "table-lengths",
+            "table-p-outside"])
     def test_nan_refused(self, capsys, tmp_path, argv, message):
         if argv[0] == "detect":
             data = tmp_path / "obs.csv"
@@ -455,8 +474,17 @@ class TestDetectSubcommand:
          "spec 'normal:mean=1,mean=2,sigma=1' repeats 'mean'"),
         ("table:y=0;1,p=0.5;0.5,llr", "table:y=0;1,p=0.25;0.75",
          "spec 'table:y=0;1,p=0.5;0.5,llr' has unknown flag 'llr'"),
+        ("gamma:shape=2", "normal:mean=1,sigma=1", "unknown density kind 'gamma'"),
+        ("normal:mean=0,sigma=1", "poisson:mean=1", "unknown density kind 'poisson'"),
+        ("normal:mean=0,sigma=1e-200", "normal:mean=1,sigma=1e-200",
+         "the llr slope (theta1 - theta0) / sigma^2 is not finite for theta0 = 0, "
+         "theta1 = 1, sigma = 1e-200"),
+        ("table:y=0;1,p=0.5;0.5", "table:y=0;1,p=1",
+         "support and both pmfs must have equal length"),
+        ("table:y=0;1,p=0.5;0.6", "table:y=0;1,p=0.5;0.5", "f must be a pmf summing to 1"),
     ], ids=["kinds-differ", "sigmas-differ", "supports-differ", "unknown-field",
-            "repeated-field", "stray-flag"])
+            "repeated-field", "stray-flag", "unknown-kind-f", "unknown-kind-g",
+            "sigma-square-zero", "pmf-lengths", "pmf-sum"])
     def test_density_pair_refused(self, capsys, tmp_path, f, g, message):
         data = tmp_path / "d.csv"
         data.write_text("1\n")
@@ -523,8 +551,10 @@ class TestDetectSubcommand:
          "alarms must be a list of [t, w] pairs"),
         ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": 5}',
          "alarms must be a list of [t, w] pairs"),
+        ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     ], ids=["not-object", "empty-object", "missing-alarms", "nan-w", "negative-w",
-            "infinite-max", "negative-t", "fractional-t", "short-alarm", "alarms-number"])
+            "infinite-max", "negative-t", "fractional-t", "short-alarm", "alarms-number",
+            "not-json"])
     def test_invalid_monitor_state_refused(self, capsys, tmp_path, text, message):
         state = tmp_path / "state.json"
         state.write_text(text)
@@ -536,6 +566,23 @@ class TestDetectSubcommand:
         assert code == 1 and out == ""
         assert err == f"error: CusumkitError: state file {state}: {message}\n"
         assert state.read_text() == text
+
+    @pytest.mark.parametrize("argv, t", [
+        ([], 2),
+        (["--mode", "monitor", "--threshold-variant", "custom", "--h", "inf"], 6),
+    ], ids=["scan", "monitor"])
+    def test_overflowed_statistic_refused(self, capsys, monkeypatch, tmp_path, argv, t):
+        # W = 1e308 + 1e308 overflows at the second observation; the scan
+        # reported W = inf, and the monitor recorded the alarm (6, inf)
+        state = tmp_path / "state.json"
+        state.write_text('{"w": 0.5, "t": 4, "running_max": 2.0, "alarms": [[2, 3.5]]}')
+        before = state.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO("1e308\n1e308\n-1e308\n"))
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--input", "-", "--state", str(state), *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: observation {t}: W = inf leaves float64\n"
+        assert state.read_bytes() == before
 
     @pytest.mark.parametrize("target", ["serialise", "replace"])
     def test_monitor_state_survives_failed_write(self, capsys, tmp_path, monkeypatch,
@@ -914,7 +961,11 @@ class TestDiscreteGoldenOutput:
     """Thresholds of finite-support models and detection on a discrete pair,
     byte for byte; digests recorded as in TestGoldenOutput.
     threshold-bernoulli prints ub1 to 17 digits and was recorded again for
-    the blocked convolution engine, as in TestGoldenOutput."""
+    the blocked convolution engine, as in TestGoldenOutput.  detect-pair-scan
+    prints the pair's ub3 threshold to 17 digits and was recorded again for
+    the Newton root search: lambda* of its llr table went from
+    1.0000000000000004 to 1.0, and ub3 from 8.480529207044643 to
+    8.480529207044645."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50", "--alpha", "0.05",
@@ -923,7 +974,7 @@ class TestDiscreteGoldenOutput:
           "--alpha", "0.01", "--seed", "0", "--format", "csv"],
          "d4be34b67ef8027108777b4f75b7182c11c1fd3012d7a6ead552ae880aae08d7"),
         (_PAIR + ["--emit-path"],
-         "2492d143f54b62e9dc002c14f2ba02b9878a6ed8609f0ce413fb1148c784e954"),
+         "b7f04cee3138f53adc78e5afb39394c396cc7d0eb278b8ccb7e9c30427fd44cd"),
         (_PAIR + ["--mode", "monitor", "--threshold-variant", "ub2", "--format", "csv"],
          "f428cd619fcd1f1a6c1ccd9733345abafc5049cda4ef9b00673ee920d8261db7"),
     ], ids=["threshold-bernoulli", "threshold-table-csv", "detect-pair-scan",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cusumkit
 from cusumkit import detect, models
 from cusumkit.errors import UnsupportedValue
 
@@ -253,6 +254,13 @@ class TestMonitorRun:
                                              h=1.5)
         assert alarms == [(2, 2.0), (4, 2.0)]
         assert path.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_exported_by_the_package(self):
+        state, alarms, path = cusumkit.monitor_run(cusumkit.CusumState(),
+                                                   [1.0, 2.5, -4.0], 3.0)
+        assert alarms == [(2, 3.5)] and path.tolist() == [1.0, 0.0, 0.0]
+        assert state == cusumkit.CusumState(w=0.0, t=3, running_max=3.5,
+                                            alarms=((2, 3.5),))
 
     def test_many_alarms_in_one_batch(self):
         k = 20_000

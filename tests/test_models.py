@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from cusumkit import cli, models, moments, rng
+from cusumkit import bounds, cli, models, moments, rng
 from cusumkit.errors import (
     DivergentMoment,
     NoConvergence,
@@ -25,6 +26,9 @@ from cusumkit.errors import (
 
 from _oracles import (
     enumerate_paths,
+    expm1_root_decimal,
+    fixed_point_k_brentq,
+    lambda_star_brentq,
     quad_one_minus_exp_pos,
     quad_rectified_exp,
     quad_rectified_moments,
@@ -33,6 +37,7 @@ from _oracles import (
 )
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
+_EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -196,61 +201,203 @@ class TestLambdaStar:
                 m.lambda_star()
 
 
-def _root_or_error(solver, f, a, b, **kwargs):
-    try:
-        return solver(f, a, b, **kwargs).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__, str(exc)
+def _counted(f, counts):
+    """f, appending 1 to counts at each call."""
+    def g(x):
+        counts.append(1)
+        return f(x)
+    return g
+
+
+@contextmanager
+def _solve_counts(module):
+    """Within it, each root search through module._newton_root appends its
+    number of values of f to the yielded list."""
+    counts = []
+    solve = models._newton_root
+
+    def counting(f, fprime, lo, hi):
+        calls = []
+        try:
+            return solve(_counted(f, calls), fprime, lo, hi)
+        finally:
+            counts.append(len(calls))
+
+    with mock.patch.object(module, "_newton_root", counting):
+        yield counts
+
+
+class TestNewtonRoot:
+    """models._newton_root on increasing functions with their derivatives."""
+
+    @pytest.mark.parametrize("f, fprime, lo, hi, root", [
+        (lambda x: x**3 - 2.0, lambda x: 3.0 * x * x, 0.0, 4.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: 0.0 if abs(x - 0.2) < 1e-3 else x - 0.2, lambda x: 1.0, -1.0, 2.0,
+         None),
+        (lambda x: math.copysign(1.0, x - 0.7), lambda x: 0.0, -1.0, 2.0, 0.7),
+        (lambda x: math.inf if x > 0.5 else math.atan(x - 0.3),
+         lambda x: 1.0 / (1.0 + (x - 0.3) ** 2), -1.0, 10.0, 0.3),
+        (lambda x: float(np.exp(800.0 * x)) - 2.0,
+         lambda x: 800.0 * float(np.exp(800.0 * x)), 0.0, 4.0, math.log(2.0) / 800.0),
+        (lambda x: (x - 0.1) ** 3 * 1e-300, lambda x: 3e-300 * (x - 0.1) ** 2, -1.0, 2.0,
+         None),
+    ], ids=["cubic", "flat-zero", "step", "inf-inside", "overflow", "tiny"])
+    def test_root(self, f, fprime, lo, hi, root):
+        x = models._newton_root(f, fprime, lo, hi)
+        if root is None:  # a run of exact zeros: any of them
+            assert f(x) == 0.0
+        else:
+            assert abs(x - root) <= 2.0 * math.ulp(root)
+
+    @pytest.mark.parametrize("f, fprime, lo, hi, message", [
+        (lambda x: math.nan if 1.0 < x < 2.0 else x - 1.5, lambda x: 1.0, 0.0, 3.0,
+         "f(0.0) = -1.5 and f(1.5) = nan bracket no root"),
+        (lambda x: math.nan, lambda x: 1.0, 0.0, 3.0,
+         "f(0.0) = nan and f(3.0) = nan bracket no root"),
+        (lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 2.0,
+         "f(-1.0) = 2 and f(2.0) = 5 bracket no root"),
+        (lambda x: x - 3.0, lambda x: 1.0, -1.0, 2.0,
+         "f(-1.0) = -4 and f(2.0) = -1 bracket no root"),
+        # bisection alone: from a width of 2 to the floats around 1e-200
+        (lambda x: math.copysign(1.0, x - 1e-200), lambda x: 0.0, -1.0, 1.0,
+         "holds floats after 100 values of f"),
+    ], ids=["nan-inside", "nan-end", "same-sign", "no-root", "evaluation-cap"])
+    def test_refused(self, f, fprime, lo, hi, message):
+        calls = []
+        with pytest.raises(NoConvergence, match=re.escape(message)):
+            models._newton_root(_counted(f, calls), fprime, lo, hi)
+        assert len(calls) <= models._MAX_EVALS
+
+
+@st.composite
+def _negative_drift_tables(draw):
+    """Finite supports with E Y < 0 < P(Y > 0): scaled integer tables, and
+    two-point tables whose mean is -eps E|Y| with eps down to 1e-12, whose
+    roots come from the expm1 sum."""
+    if draw(st.booleans()):
+        up, down = draw(st.floats(0.01, 1e4)), draw(st.floats(0.01, 1e4))
+        eps = 10.0 ** draw(st.floats(-12.0, -4.5))
+        p = down / (up + down) * (1.0 - eps)
+        return models.DiscreteTable((up, -down), (p, 1.0 - p))
+    values = draw(st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                            max_size=len(values)))
+    y = np.array(values, dtype=float) * draw(st.floats(0.01, 3.0))
+    p = np.array(weights) / sum(weights)
+    if max(values) <= 0 or np.dot(y, p) >= 0.0:
+        reject()
+    return models.DiscreteTable(tuple(y.tolist()), tuple(p.tolist()))
+
+
+def _rounding_band(model, root, ref):
+    """16 eps S / |f'(root)| + 2 ulp, S the sum of the absolute terms of
+    the form solved at ref: the distance from ref within which the float
+    root of that form may land."""
+    y, p = np.asarray(model.support), np.asarray(model.probs)
+    if model._solves_expm1():
+        terms = float(np.dot(np.abs(np.expm1(ref * y)), p))
+    else:
+        terms = float(np.dot(np.exp(ref * y), p)) + 1.0
+    return 16.0 * _EPS * terms / abs(model.mgf_prime(root)) + 2.0 * math.ulp(ref)
+
+
+def _lambda_star_checked(model):
+    """model.lambda_star(), None when the mean is 0 up to rounding, after
+    checking that no search took more than _MAX_EVALS values."""
+    with _solve_counts(models) as counts:
+        try:
+            root = model.lambda_star()
+        except NoPositiveRoot:
+            return None
+    assert counts and max(counts) <= models._MAX_EVALS
+    return root
+
+
+_BAND_TABLES = [
+    "table:y=2;-1;0.5,p=0.1;0.6;0.3",
+    "table:y=1.5;-1;-0.25,p=0.2;0.5;0.3",
+    "table:y=1;-0.5;-2,p=0.25;0.5;0.25",
+    # the llr table of the discrete detect pair, whose lambda* is 1
+    "table:y=-1.3862943611198906;-0.40546510810816427;0.40546510810816422;"
+    "1.3862943611198906,p=0.4;0.3;0.2;0.1",
+    "table:y=1;-1,p=0.49999999995;0.50000000005",
+    "table:y=2;-1,p=0.33333333330000003;0.6666666667",
+    "table:y=100000;-40000,p=0.28;0.72",
+    "table:y=5000;-7,p=0.001;0.999",
+]
 
 
 class TestBrentq:
-    """models._brentq is scipy.optimize.brentq: the same root bit for bit,
-    the same error and message."""
+    """The root searches against scipy's brentq and the route they replaced;
+    the library itself finds its roots without scipy.optimize."""
 
-    @given(values=st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True),
-           data=st.data(), xtol=st.sampled_from([1e-15, 1e-12, 2e-12]),
-           maxiter=st.sampled_from([3, 100]))
+    @pytest.mark.parametrize("spec", _BAND_TABLES)
+    def test_lambda_star_within_rounding_band(self, spec):
+        model = models.parse_model(spec)
+        root = _lambda_star_checked(model)
+        ref = expm1_root_decimal(model, root / 2.0, 2.0 * root)
+        assert abs(root - ref) <= _rounding_band(model, root, ref)
+
+    def test_wide_table_root_to_float_precision(self):
+        # lambda* = 4.0e-7, where m' = 780: brentq's absolute xtol of 1e-15
+        # left the root 3.9e-11 off; m - 1 is a multiple of 1.1e-16 there,
+        # so the float roots of m - 1 lie within eps / m' (7e-13 relative)
+        model = models.parse_model("table:y=100000;-40000,p=0.28;0.72")
+        root = model.lambda_star()
+        ref = expm1_root_decimal(model, root / 2.0, 2.0 * root)
+        assert abs(root - ref) <= _EPS / model.mgf_prime(root)
+        assert abs(lambda_star_brentq(model) - ref) > 3e-11 * ref
+
+    @given(model=_negative_drift_tables())
     @settings(max_examples=150, deadline=None)
-    def test_critical_exponent_roots(self, values, data, xtol, maxiter):
-        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(values),
-                                     max_size=len(values)))
-        y = np.array(values, dtype=float) * data.draw(st.floats(0.01, 3.0))
-        p = np.array(weights) / sum(weights)
-        if max(values) <= 0 or np.dot(y, p) >= 0.0:
+    def test_lambda_star_properties(self, model):
+        root = _lambda_star_checked(model)
+        if root is None:
             reject()
-        for f in (lambda t: float(np.dot(np.exp(t * y), p)) - 1.0,
-                  lambda t: float(np.dot(np.expm1(t * y), p))):
-            hi = 1.0
-            while f(hi) <= 0.0:
-                hi *= 2.0
-            lo = hi / 2.0
-            while f(lo) >= 0.0 and lo > 1e-300:
-                lo /= 2.0
-            for a in (lo, 0.0, -hi):
-                args = (f, a, hi)
-                kwargs = dict(xtol=xtol, rtol=1e-15, maxiter=maxiter)
-                assert (_root_or_error(models._brentq, *args, **kwargs)
-                        == _root_or_error(brentq, *args, **kwargs))
+        ref = expm1_root_decimal(model, root / 2.0, 2.0 * root)
+        band = _rounding_band(model, root, ref)
+        assert abs(root - ref) <= band
+        # brentq stopped within xtol + rtol * lambda = 1e-15 (1 + lambda) of
+        # a float root of the same form: loose for small roots, 1.6e-6
+        # relative at lambda = 6.4e-10
+        assert abs(root - lambda_star_brentq(model)) <= 2.0 * band + 1e-15 * (1.0 + root)
 
-    @pytest.mark.parametrize("f", [
-        lambda x: x**3 - 2.0,
-        lambda x: math.tanh(x - 0.3) + 1e-12 * x,
-        lambda x: math.copysign(1.0, x - 0.7),
-        lambda x: 0.0 if abs(x - 0.2) < 1e-3 else x - 0.2,
-        lambda x: 1.0 / (x - 0.4) if x != 0.4 else math.inf,
-        lambda x: math.nan if x > 1.0 else x - 0.5,
-        lambda x: (x - 0.1) ** 3 * 1e-300,
-        lambda x: x * x + 1.0,
-    ], ids=["cubic", "tanh", "step", "flat-zero", "pole", "nan", "tiny", "same-sign"])
-    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (2.0, -1.0), (0.0, 1.5), (-3.0, 0.9)])
-    @pytest.mark.parametrize("xtol, rtol, maxiter", [
-        (2e-12, 4 * np.finfo(float).eps, 100), (1e-300, 1e-15, 100),
-        (1e-3, 1e-6, 100), (1e-15, 1e-15, 2), (0.0, 1e-15, 100), (1e-12, 1e-17, 100),
-    ], ids=["default", "tight", "loose", "maxiter-2", "xtol-0", "rtol-small"])
-    def test_generic_functions(self, f, a, b, xtol, rtol, maxiter):
-        kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
-        assert (_root_or_error(models._brentq, f, a, b, **kwargs)
-                == _root_or_error(brentq, f, a, b, **kwargs))
+    @given(model=_negative_drift_tables(), u=st.one_of(
+        st.floats(0.01, 0.99), st.floats(-4.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+    @settings(max_examples=100, deadline=None)
+    def test_rate_function_maximizer(self, model, u):
+        # x up to 1e-4 of the domain's width below its top, where the
+        # bracket of rate_function doubles past 1
+        lo, hi = model.rate_domain()
+        x = lo + u * (hi - lo)
+        if not lo < x < hi:
+            reject()
+
+        def excess(t):
+            return model.mgf_prime(t) / model.mgf(t) - x
+
+        a, b = 0.0, 1.0
+        while excess(b) < 0.0:
+            a, b = b, 2.0 * b
+        if math.isnan(excess(b)):  # m(b) overflows before the tilted mean reaches x
+            with pytest.raises(NoConvergence, match=" = nan bracket no root"):
+                model.rate_function(x)
+            return
+        with _solve_counts(models) as counts:
+            _, lam = model.rate_function(x)
+        assert max(counts) <= models._MAX_EVALS
+        assert lam == pytest.approx(brentq(excess, a, b, xtol=1e-300), rel=1e-12)
+
+    @given(delta=st.one_of(st.floats(1e-3, 80.0),
+                           st.floats(-3.0, 1.9).map(lambda e: 10.0**e)),
+           n=st.integers(1, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_point_k(self, delta, n):
+        with _solve_counts(bounds) as counts:
+            got = bounds._fixed_point_k(delta, n)
+        assert max(counts) <= models._MAX_EVALS
+        # below 1e-300 the root is subnormal or 0 in both
+        assert got == pytest.approx(fixed_point_k_brentq(delta, n), rel=1e-12, abs=1e-300)
 
     def test_cli_import_leaves_scipy_optimize_out(self):
         code = "import sys, cusumkit.cli; sys.exit('scipy.optimize' in sys.modules)"
