@@ -327,6 +327,55 @@ _BAND_TABLES = [
 ]
 
 
+_GENERIC_FUNCTIONS = [
+    pytest.param(lambda x: x**3 - 2.0, lambda x: 3.0 * x * x, id="cubic"),
+    pytest.param(lambda x: math.tanh(x - 0.3) + 1e-12 * x,
+                 lambda x: 1.0 - math.tanh(x - 0.3) ** 2 + 1e-12, id="tanh"),
+    pytest.param(lambda x: math.copysign(1.0, x - 0.7), lambda x: 0.0, id="step"),
+    pytest.param(lambda x: 0.0 if abs(x - 0.2) < 1e-3 else x - 0.2,
+                 lambda x: 0.0 if abs(x - 0.2) < 1e-3 else 1.0, id="flat-zero"),
+    # a sign change at a pole, where f' < 0 leaves bisection alone
+    pytest.param(lambda x: 1.0 / (x - 0.4) if x != 0.4 else math.inf,
+                 lambda x: -1.0 / (x - 0.4) ** 2 if x != 0.4 else math.inf, id="pole"),
+    pytest.param(lambda x: math.nan if x > 1.0 else x - 0.5,
+                 lambda x: math.nan if x > 1.0 else 1.0, id="nan"),
+    pytest.param(lambda x: (x - 0.1) ** 3 * 1e-300,
+                 lambda x: 3e-300 * (x - 0.1) ** 2, id="tiny"),
+    pytest.param(lambda x: x * x + 1.0, lambda x: 2.0 * x, id="same-sign"),
+]
+
+
+def _check_against_brentq(f, fprime, a, b, xtol, rtol, maxiter, band=lambda x: 0.0):
+    """models._newton_root on [min(a, b), max(a, b)] against scipy's brentq
+    on (a, b) at the given tolerances.
+
+    Ends of one sign are refused by both, and a NaN at an end by the Newton
+    search.  Otherwise the Newton root is a float at a sign change of f, and
+    where brentq converges its root is within xtol + rtol |root| + band(root)
+    of it (or both are exact zeros of f); band(x) bounds how far rounding in
+    f may spread the sign changes around x."""
+    lo, hi = min(a, b), max(a, b)
+    flo, fhi = f(lo), f(hi)
+    if not flo <= 0.0 <= fhi:
+        if not (math.isnan(flo) or math.isnan(fhi)):
+            with pytest.raises(ValueError, match="must have different signs"):
+                brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        with pytest.raises(NoConvergence, match="bracket no root"):
+            models._newton_root(f, fprime, lo, hi)
+        return
+    x = models._newton_root(f, fprime, lo, hi)
+    fx = f(x)
+    assert lo <= x <= hi
+    assert (fx == 0.0 or fx < 0.0 <= f(math.nextafter(x, math.inf))
+            or f(math.nextafter(x, -math.inf)) <= 0.0 < fx)
+    try:
+        ref = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except RuntimeError:  # brentq's iteration cap; the Newton search has none of its own
+        return
+    assert (abs(x - ref) <= xtol + rtol * abs(ref) + math.ulp(ref) + band(ref)
+            or fx == 0.0 == f(ref))
+
+
 class TestBrentq:
     """The root searches against scipy's brentq and the route they replaced;
     the library itself finds its roots without scipy.optimize."""
@@ -398,6 +447,52 @@ class TestBrentq:
         assert max(counts) <= models._MAX_EVALS
         # below 1e-300 the root is subnormal or 0 in both
         assert got == pytest.approx(fixed_point_k_brentq(delta, n), rel=1e-12, abs=1e-300)
+
+    @given(values=st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True),
+           data=st.data(), xtol=st.sampled_from([1e-15, 1e-12, 2e-12]),
+           maxiter=st.sampled_from([3, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_critical_exponent_roots(self, values, data, xtol, maxiter):
+        # both forms of m(t) = 1 on the brackets lambda_star builds, and on
+        # brackets from the trivial root 0 and from below it
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                     max_size=len(values)))
+        y = np.array(values, dtype=float) * data.draw(st.floats(0.01, 3.0))
+        p = np.array(weights) / sum(weights)
+        # a mean within 8 eps E|Y| of 0, which lambda_star refuses, leaves
+        # m(t) = 1 no root the floats resolve
+        if max(values) <= 0 or -np.dot(y, p) <= 8.0 * _EPS * np.dot(np.abs(y), p):
+            reject()
+
+        def fprime(t):
+            return float(np.dot(y * np.exp(t * y), p))
+
+        for f, terms in ((lambda t: float(np.dot(np.exp(t * y), p)) - 1.0,
+                          lambda t: float(np.dot(np.exp(t * y), p)) + 1.0),
+                         (lambda t: float(np.dot(np.expm1(t * y), p)),
+                          lambda t: float(np.dot(np.abs(np.expm1(t * y)), p)))):
+            def band(t, terms=terms):
+                """16 eps S / |f'(t)| + 2 ulp, S the sum of the absolute
+                terms of f: how far rounding may move a sign change."""
+                return 16.0 * _EPS * terms(t) / abs(fprime(t)) + 2.0 * math.ulp(t)
+
+            hi = 1.0
+            while f(hi) <= 0.0:
+                hi *= 2.0
+            lo = hi / 2.0
+            while f(lo) >= 0.0 and lo > 1e-300:
+                lo /= 2.0
+            for a in (lo, 0.0, -hi):
+                _check_against_brentq(f, fprime, a, hi, xtol, 1e-15, maxiter, band)
+
+    @pytest.mark.parametrize("f, fprime", _GENERIC_FUNCTIONS)
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (2.0, -1.0), (0.0, 1.5), (-3.0, 0.9)])
+    @pytest.mark.parametrize("xtol, rtol, maxiter", [
+        (2e-12, 4 * np.finfo(float).eps, 100), (1e-300, 1e-15, 100),
+        (1e-3, 1e-6, 100), (1e-15, 1e-15, 2),
+    ], ids=["default", "tight", "loose", "maxiter-2"])
+    def test_generic_functions(self, f, fprime, a, b, xtol, rtol, maxiter):
+        _check_against_brentq(f, fprime, a, b, xtol, rtol, maxiter)
 
     def test_cli_import_leaves_scipy_optimize_out(self):
         code = "import sys, cusumkit.cli; sys.exit('scipy.optimize' in sys.modules)"
