@@ -111,10 +111,6 @@ class IncrementModel:
         """E[Y exp(lambda*Y)]."""
         raise NotImplementedError
 
-    def _mgf_second(self, lam: float) -> float:
-        """E[Y^2 exp(lambda*Y)]."""
-        raise NotImplementedError
-
     def prob_positive(self) -> float:
         """P(Y > 0)."""
         raise NotImplementedError
@@ -203,30 +199,15 @@ class IncrementModel:
     def tilt_var(self, lam: float) -> float:
         """Variance of Y under the exponential tilt by lam, which is the
         derivative of the tilted mean m'(lam)/m(lam)."""
-        m = self.mgf(lam)
-        m1 = self.mgf_prime(lam)
-        return self._mgf_second(lam) / m - (m1 / m) ** 2
+        raise NotImplementedError
 
     def rate_function(self, x: float) -> tuple[float, float]:
         """Cramer rate function I(x) and its maximizer lambda(x).
 
-        Solves E[Y exp(lam*Y)] / E[exp(lam*Y)] = x by monotone root search
-        and returns (I(x), lambda(x)) with I(x) = lam*x - log m(lam).
+        lambda(x) solves m'(lam)/m(lam) = x, and I(x) = lam*x - log m(lam).
+        Raises OutOfDomain outside rate_domain().
         """
-        lo, hi = self.rate_domain()
-        if not lo < x < hi:
-            raise OutOfDomain(f"x = {x:g} outside the rate domain ({lo:g}, {hi:g})")
-
-        def excess(lam: float) -> float:
-            """The tilted mean minus x: increasing, and EY - x < 0 at 0."""
-            return self.mgf_prime(lam) / self.mgf(lam) - x
-
-        a, b = 0.0, 1.0
-        while excess(b) < 0.0:
-            a, b = b, 2.0 * b
-        lam = _newton_root(excess, self.tilt_var, a, b)
-        rate = lam * x - math.log(self.mgf(lam))
-        return max(rate, 0.0), lam
+        raise NotImplementedError
 
     # -- rectified partial sums ------------------------------------------
 
@@ -387,7 +368,12 @@ class _NormalBase(IncrementModel):
         m2 = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             m1[live] = mu * cdf + sd * pdf
-            m2[live] = (mu**2 + sd**2) * cdf + mu * sd * pdf
+            direct = (mu**2 + sd**2) * cdf + mu * sd * pdf
+            # mu**2 + sd**2 can overflow where the moment is a float: there,
+            # and only there (other entries keep their bits), scale by cdf
+            # first
+            scaled = mu * (mu * cdf) + sd * (sd * cdf) + mu * (sd * pdf)
+            m2[live] = np.where(np.isfinite(direct), direct, scaled)
         bad = ~(np.isfinite(m1) & np.isfinite(m2))
         if bad.any():
             raise DivergentMoment(
@@ -763,11 +749,6 @@ class _DiscreteBase(IncrementModel):
         with np.errstate(over="ignore"):  # as in mgf
             return float(np.dot(s * np.exp(lam * s), self.probs))
 
-    def _mgf_second(self, lam: float) -> float:
-        s = np.asarray(self.support)
-        with np.errstate(over="ignore"):
-            return float(np.dot(s * s * np.exp(lam * s), self.probs))
-
     def prob_positive(self) -> float:
         return float(sum(p for y, p in zip(self.support, self.probs) if y > 0))
 
@@ -837,8 +818,45 @@ class _DiscreteBase(IncrementModel):
         return out
 
     def rate_domain(self) -> tuple[float, float]:
-        # A0 = lim of the tilted mean as lambda -> inf = max(support).
-        return self.mean(), max(self.support)
+        # A0 = lim of the tilted mean as lambda -> inf, the largest atom of
+        # positive probability
+        return self.mean(), max(y for y, p in zip(self.support, self.probs) if p > 0.0)
+
+    def _tilted(self, lam: float) -> tuple[float, float, float]:
+        """log m(lam), and the mean and variance of Y tilted by lam.
+
+        The exponents lam * y are shifted by their largest value (lam *
+        max(y) for lam >= 0), so none of the three overflows where m(lam)
+        does.
+        """
+        p = np.asarray(self.probs)
+        y = np.asarray(self.support)[p > 0.0]
+        p = p[p > 0.0]
+        e = lam * y
+        top = e.max()
+        w = p * np.exp(e - top)
+        total = w.sum()
+        mean = np.dot(w, y) / total
+        return (float(top + np.log(total)), float(mean),
+                float(np.dot(w, np.square(y - mean)) / total))
+
+    def tilt_var(self, lam: float) -> float:
+        return self._tilted(lam)[2]
+
+    def rate_function(self, x: float) -> tuple[float, float]:
+        lo, hi = self.rate_domain()
+        if not lo < x < hi:
+            raise OutOfDomain(f"x = {x:g} outside the rate domain ({lo:g}, {hi:g})")
+
+        def excess(lam: float) -> float:
+            """The tilted mean minus x: increasing, and EY - x < 0 at 0."""
+            return self._tilted(lam)[1] - x
+
+        a, b = 0.0, 1.0
+        while excess(b) < 0.0:
+            a, b = b, 2.0 * b
+        lam = _newton_root(excess, self.tilt_var, a, b)
+        return max(lam * x - self._tilted(lam)[0], 0.0), lam
 
     def lattice(self) -> Lattice:
         """The integer-key lattice of the atoms with positive probability."""

@@ -138,6 +138,14 @@ def cusum_variance(model: IncrementModel, n: int) -> tuple[np.ndarray, float]:
     if n == 0:
         return out, 0.0
     m1, m2 = _sum_moment_seq(model, n)
+    # csum**2 and the sums below exceed V_n by up to a factor (1 + ln n)^2,
+    # so they can overflow where V_n is a float: then they are taken in
+    # units of a power of two u (exact) for which the largest m2 / u^2 is
+    # below 2, and the results scaled back
+    top = float(m2.max())
+    unit = 1.0 if top < 2.0**900 else 2.0 ** (math.frexp(top)[1] // 2)
+    m1 = m1 / unit
+    m2 = m2 / unit / unit
     k = np.arange(1, n + 1)
     m = m1 / k
     second = np.cumsum(m2 / k)
@@ -152,7 +160,17 @@ def cusum_variance(model: IncrementModel, n: int) -> tuple[np.ndarray, float]:
     # cross term is conv[i-1]
     var_plus = m2 - m1**2
     rec = np.concatenate(([0.0], np.cumsum(var_plus / k + conv[:n])))
-    gap = float(np.max(np.abs(rec - out)))
+    gap = np.abs(rec - out)
+    with np.errstate(over="ignore"):  # refused below
+        for a in (out, gap):
+            a *= unit
+            a *= unit
+    bad = ~(np.isfinite(out) & np.isfinite(gap))
+    if bad.any():
+        raise DivergentMoment(
+            f"Var W_k or its recursion gap overflows at k = {bad.argmax()} "
+            f"for {model.spec()}")
+    gap = float(np.max(gap))
     if gap > _MISMATCH_TOL:
         warnings.warn(
             f"published variance recursion deviates from the direct form "

@@ -11,6 +11,7 @@ trusted oracle for the analytic moment engine.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -116,9 +117,56 @@ def lindley_block(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, mx
 
 
-def _run_chunk(config: SimConfig, first_rep: int, reps: int):
+def _run_chunk(config: SimConfig, first_rep: int, reps: int,
+               w_final: np.ndarray, w_max: np.ndarray, /) -> None:
+    """Fold replications first_rep .. first_rep + reps - 1 into their rows
+    of the caller's result arrays w_final and w_max."""
     y = _increments_chunk(config.model, config.seed, first_rep, reps, config.n)
-    return lindley_block(y)
+    rows = slice(first_rep, first_rep + reps)
+    w_final[rows], w_max[rows] = lindley_block(y)
+
+
+def _run_streams(config: SimConfig, jobs: list[tuple[int, int]],
+                 w_final: np.ndarray, w_max: np.ndarray) -> None:
+    """Run the (first_rep, reps) chunks of jobs on up to parallel_streams
+    streams, each taking the next chunk from the shared list.
+
+    The calling thread is one stream, so there are at most
+    parallel_streams - 1 helper threads, and none for one stream or one
+    chunk.  Each stream holds one Philox block at a time; the caller's
+    stream reuses the memory its thread's allocator kept from earlier
+    calls.  Once a chunk raises, no stream takes another chunk, the helpers
+    are joined and the error propagates.
+    """
+    lock = threading.Lock()
+    pending = iter(jobs)
+    failed = False
+
+    def stream() -> None:
+        nonlocal failed
+        while True:
+            with lock:
+                job = None if failed else next(pending, None)
+            if job is None:
+                return
+            try:
+                _run_chunk(config, job[0], job[1], w_final, w_max)
+            except BaseException:
+                with lock:
+                    failed = True
+                raise
+
+    helpers = min(config.parallel_streams, len(jobs)) - 1
+    if helpers < 1:
+        stream()
+        return
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(stream) for _ in range(helpers)]
+        try:
+            stream()
+        finally:
+            for future in futures:
+                future.result()
 
 
 def simulate_cusum(config: SimConfig, exp_lam: float | None = None) -> SimResult:
@@ -136,18 +184,8 @@ def simulate_cusum(config: SimConfig, exp_lam: float | None = None) -> SimResult
     w_max = np.zeros(reps)
     if n > 0:
         chunk = max(1, _TARGET_CHUNK_ELEMENTS // n)
-        starts = list(range(0, reps, chunk))
-        jobs = [(s, min(chunk, reps - s)) for s in starts]
-        if config.parallel_streams > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=config.parallel_streams) as pool:
-                results = list(
-                    pool.map(lambda j: _run_chunk(config, j[0], j[1]), jobs)
-                )
-        else:
-            results = [_run_chunk(config, s, c) for s, c in jobs]
-        for (s, c), (wf, wm) in zip(jobs, results):
-            w_final[s : s + c] = wf
-            w_max[s : s + c] = wm
+        jobs = [(s, min(chunk, reps - s)) for s in range(0, reps, chunk)]
+        _run_streams(config, jobs, w_final, w_max)
 
     mean = float(np.mean(w_final))
     variance = float(np.var(w_final, ddof=1)) if reps > 1 else 0.0

@@ -8,8 +8,8 @@ row-scaled MGF system, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
 line, one formatting call per output value, scipy's brentq for roots and a
-50-digit decimal bisection for the critical exponent.  The production code
-must match these, never the other way around.
+50-digit decimal bisection for the critical exponent and the rate function.
+The production code must match these, never the other way around.
 """
 
 import dataclasses
@@ -243,6 +243,37 @@ def expm1_root_decimal(model, lo, hi):
             else:
                 b = mid
         return float((a + b) / 2)
+
+
+def rate_function_decimal(model, x):
+    """(I(x), lambda(x)) of a finite support in 50-digit decimal arithmetic,
+    where exp(lambda y) does not overflow: lambda(x) by bisection on the
+    tilted mean minus x over the bracket the library doubles from [0, 1],
+    and I(x) = lambda x - log m(lambda) at the unrounded lambda, both
+    rounded to the nearest float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        terms = [(decimal.Decimal(y), decimal.Decimal(p))
+                 for y, p in zip(model.support, model.probs) if p > 0.0]
+        target = decimal.Decimal(x)
+
+        def mgf(lam):
+            return sum(p * (lam * y).exp() for y, p in terms)
+
+        def excess(lam):
+            return sum(p * y * (lam * y).exp() for y, p in terms) / mgf(lam) - target
+
+        a, b = decimal.Decimal(0), decimal.Decimal(1)
+        while excess(b) < 0:
+            a, b = b, 2 * b
+        while b - a > b * decimal.Decimal("1e-40"):
+            mid = (a + b) / 2
+            if excess(mid) < 0:
+                a = mid
+            else:
+                b = mid
+        lam = (a + b) / 2
+        return float(lam * target - mgf(lam).ln()), float(lam)
 
 
 def fixed_point_k_brentq(delta, n):

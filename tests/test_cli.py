@@ -276,6 +276,16 @@ class TestMathRunsOut:
         assert code == 1 and out == ""
         assert err.startswith("error: DivergentMoment: ") and "\n" not in err.rstrip()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_whose_sums_of_squares_overflow(self, capsys):
+        code, out, _ = run(capsys, "moments", "--model", "shifted-normal:a=-1,sigma=5e152",
+                           "--n", "1000")
+        doc = json.loads(out)
+        assert code == 0
+        values = doc["result"]["means"] + doc["result"]["variances"]
+        assert len(values) == 2002 and all(map(math.isfinite, values))
+        assert math.isfinite(doc["result"]["variance_recursion_gap"])
+
     def test_normal_llr_delta_80_threshold(self, capsys):
         code, out, _ = run(capsys, "threshold", "--model", "normal-llr:delta=80",
                            "--n", "10", "--alpha", "0.05")

@@ -32,6 +32,7 @@ from _oracles import (
     quad_one_minus_exp_pos,
     quad_rectified_exp,
     quad_rectified_moments,
+    rate_function_decimal,
     rectified_exp_seq_loop,
     rectified_moment_seq_loop,
 )
@@ -422,20 +423,29 @@ class TestBrentq:
         if not lo < x < hi:
             reject()
 
-        def excess(t):
-            return model.mgf_prime(t) / model.mgf(t) - x
-
-        a, b = 0.0, 1.0
-        while excess(b) < 0.0:
-            a, b = b, 2.0 * b
-        if math.isnan(excess(b)):  # m(b) overflows before the tilted mean reaches x
-            with pytest.raises(NoConvergence, match=" = nan bracket no root"):
-                model.rate_function(x)
-            return
         with _solve_counts(models) as counts:
-            _, lam = model.rate_function(x)
+            rate, lam = model.rate_function(x)
         assert max(counts) <= models._MAX_EVALS
-        assert lam == pytest.approx(brentq(excess, a, b, xtol=1e-300), rel=1e-12)
+        want_rate, want_lam = rate_function_decimal(model, x)
+        assert lam == pytest.approx(want_lam, rel=1e-12)
+        # I = lam x - log m(lam) may cancel down to the rounding of its
+        # terms: the log of a sum near 1, and exponents up to lam max|y|
+        spread = max(abs(v) for v in model.support)
+        assert rate == pytest.approx(want_rate, rel=1e-12,
+                                     abs=8.0 * _EPS * (1.0 + lam * spread))
+
+    def test_rate_function_table_710_where_m_overflows(self):
+        # m(1) = E exp(Y) overflows (exp(710)) inside the first bracket
+        # [0, 1]; the tilted mean m'/m there was inf / inf = NaN
+        model = models.DiscreteTable((710.0, -1.0),
+                                     (0.0014064556962025316, 0.9985935443037974))
+        lo, hi = model.rate_domain()
+        x = 0.5 * (lo + hi)
+        assert model.mgf(1.0) == math.inf
+        rate, lam = model.rate_function(x)
+        want_rate, want_lam = rate_function_decimal(model, x)
+        assert lam == pytest.approx(want_lam, rel=1e-12)
+        assert rate == pytest.approx(want_rate, rel=1e-12)
 
     @given(delta=st.one_of(st.floats(1e-3, 80.0),
                            st.floats(-3.0, 1.9).map(lambda e: 10.0**e)),
@@ -527,6 +537,13 @@ class TestRateFunction:
             m.rate_function(1.5)  # beyond max support
         with pytest.raises(OutOfDomain):
             m.rate_function(m.mean())  # open interval
+
+    def test_domain_ends_at_the_largest_atom_of_positive_probability(self):
+        # the atom 3 has probability 0, so the tilted mean stays below 1
+        m = models.DiscreteTable((3.0, -2.0, 1.0), (0.0, 0.5, 0.5))
+        assert m.rate_domain() == (-0.5, 1.0)
+        with pytest.raises(OutOfDomain):
+            m.rate_function(2.0)
 
     def test_callable_view(self):
         rate, lam = models.ShiftedNormal(-1.0, 1.0).rate_function(0.0)

@@ -279,6 +279,31 @@ class TestNormalMomentOverflow:
         assert np.isfinite(table.variances).all()
         assert np.isfinite(table.recursion_gap)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma, n", [(1e154, 3), (5e152, 1000)])
+    def test_finite_moments_whose_sums_of_squares_overflow(self, sigma, n):
+        # sigma = 1e154: mu**2 + sd**2 overflows at k = 2 and 3, where
+        # E (S_k+)^2 = 6.95e307 and 1.05e308 are floats.  sigma = 5e152:
+        # E (S_1000+)^2 = 1.25e308, and the sums of cusum_variance reach
+        # 1.6e308.  Both match the table of sigma = 1 scaled up.
+        m1, m2 = models.ShiftedNormal(-1.0, sigma).rectified_moment_seq(n)
+        r1, r2 = models.ShiftedNormal(-1.0 / sigma, 1.0).rectified_moment_seq(n)
+        np.testing.assert_allclose(m1 / sigma, r1, rtol=1e-13)
+        np.testing.assert_allclose(m2 / sigma / sigma, r2, rtol=1e-13)
+        table = moments.moment_table(models.ShiftedNormal(-1.0, sigma), n)
+        ref = moments.moment_table(models.ShiftedNormal(-1.0 / sigma, 1.0), n)
+        np.testing.assert_allclose(table.variances / sigma / sigma, ref.variances,
+                                   rtol=1e-13)
+        assert table.recursion_gap / sigma / sigma == pytest.approx(
+            ref.recursion_gap, rel=1e-13)
+
+    def test_overflowing_variance_refused(self, monkeypatch):
+        # E (S_k+)^2 = 1.5e308 for every k: V_2 >= 1.5e308 (1 + 1/2) - 1
+        sums = (np.ones(3), np.full(3, 1.5e308))
+        monkeypatch.setattr(moments, "_sum_moment_seq", lambda model, n: sums)
+        with pytest.raises(DivergentMoment, match="overflows at k = 2 for shifted-normal"):
+            moments.cusum_variance(models.ShiftedNormal(-1.0, 1.0), 3)
+
 
 class TestVarianceRecursionDiagnostic:
     def test_mismatch_warning_and_direct_values(self, nllr):

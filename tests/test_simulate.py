@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -102,6 +105,116 @@ class TestDeterminism:
         a = simulate.simulate_cusum(simulate.SimConfig(m, 20, 100, seed=5))
         b = simulate.simulate_cusum(simulate.SimConfig(m, 20, 100, seed=5))
         np.testing.assert_array_equal(a.w_final, b.w_final)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 10 replications at n = 7."""
+    monkeypatch.setattr(simulate, "_TARGET_CHUNK_ELEMENTS", 70)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def _chunk_wrapper(monkeypatch, before):
+    """Patch simulate._run_chunk to call before(first_rep) ahead of the
+    real chunk."""
+    run = simulate._run_chunk
+
+    def chunk(config, first_rep, reps, w_final, w_max, /):
+        before(first_rep)
+        run(config, first_rep, reps, w_final, w_max)
+
+    monkeypatch.setattr(simulate, "_run_chunk", chunk)
+
+
+class TestStreams:
+    """simulate_cusum runs its chunks on parallel_streams streams: the
+    calling thread and up to parallel_streams - 1 helper threads, each
+    taking the next chunk from one shared list."""
+
+    # at n = 7: ten chunks with a partial last one, two chunks (fewer than
+    # three streams) with a partial last one, and a single chunk
+    @pytest.mark.parametrize("reps", [95, 15, 10])
+    @pytest.mark.parametrize("model", [models.NormalLLR(1.0), models.BernoulliPM(0.3)],
+                             ids=["normal", "lattice"])
+    def test_bit_identical_across_streams(self, model, reps, monkeypatch):
+        whole = simulate.simulate_cusum(simulate.SimConfig(model, 7, reps, seed=23))
+        monkeypatch.setattr(simulate, "_TARGET_CHUNK_ELEMENTS", 70)
+        for streams in (1, 2, 3):
+            got = simulate.simulate_cusum(
+                simulate.SimConfig(model, 7, reps, seed=23, parallel_streams=streams))
+            assert got.w_final.tobytes() == whole.w_final.tobytes()
+            assert got.w_max.tobytes() == whole.w_max.tobytes()
+
+    @pytest.mark.parametrize("streams, reps, most", [
+        (1, 95, 0), (2, 95, 1), (3, 95, 2), (3, 15, 1), (3, 10, 0), (5, 1, 0)])
+    def test_at_most_one_helper_thread_per_extra_stream(
+            self, nllr, small_chunks, started_threads, monkeypatch, streams, reps, most):
+        # each chunk sleeps, so every stream gets chunks while others wait
+        idents = set()
+        _chunk_wrapper(monkeypatch, lambda _: (idents.add(threading.get_ident()),
+                                               time.sleep(0.005)))
+        simulate.simulate_cusum(
+            simulate.SimConfig(nllr, 7, reps, seed=23, parallel_streams=streams))
+        assert len(started_threads) <= most
+        assert not any(t.is_alive() for t in started_threads)
+        assert threading.get_ident() in idents  # the caller is a stream
+        assert len(idents) <= min(streams, -(-reps // 10))
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_failing_chunk_stops_every_stream(
+            self, nllr, small_chunks, started_threads, monkeypatch, where):
+        # 50 chunks on 3 streams; a chunk of the named thread raises, and
+        # the others hold their first chunk until it has
+        caller = threading.get_ident()
+        failed = threading.Event()
+        ran = []
+
+        def before(first_rep):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                failed.set()
+                raise RuntimeError(f"chunk at {first_rep} failed")
+            assert failed.wait(timeout=30)
+            ran.append(first_rep)
+
+        _chunk_wrapper(monkeypatch, before)
+        with pytest.raises(RuntimeError, match="failed"):
+            simulate.simulate_cusum(
+                simulate.SimConfig(nllr, 7, 500, seed=23, parallel_streams=3))
+        assert 1 <= len(started_threads) <= 2
+        assert not any(t.is_alive() for t in started_threads)
+        # only chunks taken before the failure ran: one per other stream
+        assert len(ran) <= 2
+
+    def test_every_chunk_runs_once_under_contention(self, nllr, monkeypatch):
+        # single-replication chunks on more streams than cores, with the
+        # interpreter switching threads as often as it can
+        whole = simulate.simulate_cusum(simulate.SimConfig(nllr, 7, 400, seed=23))
+        monkeypatch.setattr(simulate, "_TARGET_CHUNK_ELEMENTS", 7)
+        ran = []
+        _chunk_wrapper(monkeypatch, ran.append)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate.simulate_cusum(
+                simulate.SimConfig(nllr, 7, 400, seed=23, parallel_streams=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(400))
+        assert got.w_final.tobytes() == whole.w_final.tobytes()
+        assert got.w_max.tobytes() == whole.w_max.tobytes()
 
 
 class TestAgainstAnalytic:
