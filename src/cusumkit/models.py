@@ -52,7 +52,6 @@ __all__ = [
 _PROB_TOL = 1e-12
 _ROOT_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-_SMALL_MEAN = 1e-4  # see _DiscreteBase._lambda_star_impl
 _GRID = 1e-12  # finite supports are keyed by the integers round(y / _GRID)
 _PRUNE = 1e-300  # sparse sum laws and exact enumeration drop smaller masses
 # widest lattice (in steps of the key gcd, 0 included) whose sum laws, and
@@ -143,7 +142,9 @@ class IncrementModel:
     # -- critical exponent ----------------------------------------------
 
     def lambda_star(self) -> float:
-        """Positive root of m(lambda) = 1, with |m(root) - 1| <= 1e-12.
+        """Positive root of m(lambda) = 1, with |m(root) - 1| <= 1e-12 (for
+        finite supports, with the sum p * expm1(root * y) within its own
+        rounding error of 0).
 
         Raises NoPositiveRoot when the equation has no positive solution
         (mean(Y) >= 0, or Y never positive).
@@ -762,31 +763,23 @@ class _DiscreteBase(IncrementModel):
             return float(np.dot(np.expm1(lam * np.asarray(self.support)), self.probs))
 
     def _lambda_star_impl(self) -> float:
-        # Near 0, m(lambda) - 1 = lambda * mean(Y) + O(lambda^2).  Summed as
-        # p * expm1(lambda * y) it errs by a few eps * E|Y| * lambda, so a
-        # mean within 8 eps * E|Y| of 0 has no root the floats resolve.
-        # Below _SMALL_MEAN * E|Y| the rounding of m(lambda) itself would
-        # swamp the lambda * mean(Y) term, so that sum is the one solved.
+        # m(lambda) - 1 is summed as p * expm1(lambda * y), which errs by a
+        # few eps * E|Y| * lambda, where m(lambda) itself would round to a
+        # multiple of eps and leave small roots only the digits that allows.
+        # Near 0 the sum is lambda * mean(Y) + O(lambda^2), so a mean within
+        # 8 eps * E|Y| of 0 has no root the floats resolve.
         spread = self._spread()
         mean = self.mean()
         if -mean <= 8.0 * _EPS * spread:
             raise NoPositiveRoot(
                 f"mean(Y) = {mean:g} is 0 up to rounding (E|Y| = {spread:g})"
             )
-        if not self._solves_expm1():
-            return super()._lambda_star_impl()
         return super()._lambda_star_impl(self._expm1_sum)
-
-    def _solves_expm1(self) -> bool:
-        """Whether _lambda_star_impl solves the expm1 sum, not m - 1."""
-        return -self.mean() < _SMALL_MEAN * self._spread()
 
     def _root_residual(self, root: float) -> tuple[str, float, float]:
         # m(root) - 1 rounds to 0 at any root below about eps / |mean(Y)|,
-        # so the expm1 sum is checked when it was the form solved, against
-        # its own rounding error of a few eps * root * E|Y|
-        if not self._solves_expm1():
-            return super()._root_residual(root)
+        # so the expm1 sum, the form solved, is checked against its own
+        # rounding error of a few eps * root * E|Y|
         return ("|sum p expm1(lambda* y)|", abs(self._expm1_sum(root)),
                 64.0 * _EPS * root * self._spread())
 

@@ -4,10 +4,13 @@ Two routes to the exponential moments M_n(lambda) = E exp(lambda * W_n)
 are provided: the convolution recursion, solved by blocked forward
 substitution (cusum_mgf_recursive), and the row-scaled unit
 lower-triangular system, solved in panels without forming its matrix
-(cusum_mgf_matrix, behind ``mgf --method matrix``).  The tests hold the
-independent references they must match (tests/_oracles.py): the
-one-term-at-a-time O(N^2) loop of the recursion, the dense matrix solve
-and, for small n, brute-force integer-partition summation.
+(cusum_mgf_matrix, behind ``mgf --method matrix``).  The variance table
+V_0..V_N (cusum_variance) takes its cross sum from one real FFT of the
+sequence E S_k+ / k, O(N log N).  The tests hold the independent
+references they must match (tests/_oracles.py): the one-term-at-a-time
+O(N^2) loop of the recursion, the dense matrix solve, the direct O(N^2)
+self-convolution of the variance and, for small n, brute-force
+integer-partition summation.
 
 Variance note: the published recursive increment for Var W_n does not
 reproduce the direct expression derived from the generating function (its
@@ -132,7 +135,11 @@ def cusum_variance(model: IncrementModel, n: int) -> tuple[np.ndarray, float]:
     Returned values use the direct expression
     V_n = sum_{k<=n} E(S_k+)^2 / k  -  sum_{k1+k2>n; k1,k2<=n} m_k1 m_k2
     with m_k = E S_k+ / k.  The cross sum is evaluated through the full
-    self-convolution of (m_k), O(n^2) once for the whole table.
+    self-convolution of (m_k), taken from one real FFT of (m_k) for the
+    whole table, O(n log n).  The FFT errs by about eps log n times
+    sum_k m_k^2 <= (sum_k m_k)^2 in each term, so V_n keeps about the
+    accuracy its cancellation (sum_k m_k)^2 - inside allows, and terms where
+    m_k underflows cost no more than the others.
     """
     out = np.zeros(n + 1)
     if n == 0:
@@ -150,8 +157,11 @@ def cusum_variance(model: IncrementModel, n: int) -> tuple[np.ndarray, float]:
     m = m1 / k
     second = np.cumsum(m2 / k)
     csum = np.cumsum(m)
-    # conv[j] = sum_{k1+k2 = j+2} m_k1 m_k2, j = 0..2n-2
-    conv = np.convolve(m, m)
+    # conv[j] = sum_{k1+k2 = j+2} m_k1 m_k2, j = 0..2n-2: m zero-padded to
+    # a power of two >= 2n - 1, so the circular convolution does not wrap
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(m, size)
+    conv = np.fft.irfft(spectrum * spectrum, size)[: 2 * n - 1]
     inside = np.concatenate(([0.0], np.cumsum(conv)[: n - 1]))  # pairs with sum <= n
     out[1:] = second - (csum**2 - inside)
 

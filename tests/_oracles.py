@@ -4,7 +4,8 @@ Everything here is deliberately naive: numeric quadrature for normal
 expectations, exhaustive path enumeration for discrete walks, a sum over
 the integer partitions of n for one exponential moment, one dot product
 per term of the convolution recursion, a dense (N+1)^2 matrix for the
-row-scaled MGF system, one exp and one dot product per step of the
+row-scaled MGF system, np.convolve's direct self-convolution for the
+variance's cross sum, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
 line, one formatting call per output value, scipy's brentq for roots and a
@@ -17,6 +18,7 @@ import decimal
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,7 +28,7 @@ from scipy.special import ndtri_exp
 
 from cusumkit import models, moments
 from cusumkit.detect import CusumState
-from cusumkit.errors import CusumkitError, DivergentMoment
+from cusumkit.errors import CusumkitError, DivergentMoment, FormulaMismatch
 
 
 def normal_pdf(x, mu, sd):
@@ -141,6 +143,49 @@ def cusum_mgf_matrix_dense(model, lam, n):
     return moments.MgfSeries(lam=lam, horizon=n, values=values)
 
 
+def cusum_variance_direct(model, n):
+    """V_0..V_n and the published-recursion gap as moments.cusum_variance
+    gives them, with the cross sum from the direct O(n^2) self-convolution
+    np.convolve(m, m)."""
+    out = np.zeros(n + 1)
+    if n == 0:
+        return out, 0.0
+    m1, m2 = moments._sum_moment_seq(model, n)
+    top = float(m2.max())
+    unit = 1.0 if top < 2.0**900 else 2.0 ** (math.frexp(top)[1] // 2)
+    m1 = m1 / unit
+    m2 = m2 / unit / unit
+    k = np.arange(1, n + 1)
+    m = m1 / k
+    second = np.cumsum(m2 / k)
+    csum = np.cumsum(m)
+    # conv[j] = sum_{k1+k2 = j+2} m_k1 m_k2, j = 0..2n-2
+    conv = np.convolve(m, m)
+    inside = np.concatenate(([0.0], np.cumsum(conv)[: n - 1]))  # pairs with sum <= n
+    out[1:] = second - (csum**2 - inside)
+    var_plus = m2 - m1**2
+    rec = np.concatenate(([0.0], np.cumsum(var_plus / k + conv[:n])))
+    gap = np.abs(rec - out)
+    with np.errstate(over="ignore"):  # refused below
+        for a in (out, gap):
+            a *= unit
+            a *= unit
+    bad = ~(np.isfinite(out) & np.isfinite(gap))
+    if bad.any():
+        raise DivergentMoment(
+            f"Var W_k or its recursion gap overflows at k = {bad.argmax()} "
+            f"for {model.spec()}")
+    gap = float(np.max(gap))
+    if gap > moments._MISMATCH_TOL:
+        warnings.warn(
+            f"published variance recursion deviates from the direct form "
+            f"by up to {gap:.3g}; direct values returned",
+            FormulaMismatch,
+            stacklevel=2,
+        )
+    return out, gap
+
+
 def rectified_exp_seq_loop(model, lam, n):
     """x_k = E exp(lam * S_k+) of a finite-support model, k = 1..n, with one
     exp and one dot product per step over the laws of sum_distributions."""
@@ -204,8 +249,12 @@ def lambda_star_brentq(model):
     """lambda* of a finite support by the library's route up to version
     0.2.0: scipy's brentq (xtol = rtol = 1e-15) on the library's bracket and
     form, then up to three Newton steps on m - 1 that stop once
-    |m - 1| <= 1e-12."""
-    f = model._expm1_sum if model._solves_expm1() else (lambda t: model.mgf(t) - 1.0)
+    |m - 1| <= 1e-12.  The expm1 sum was the form solved only for means
+    within 1e-4 E|Y| of 0."""
+    if -model.mean() < 1e-4 * model._spread():
+        f = model._expm1_sum
+    else:
+        f = lambda t: model.mgf(t) - 1.0  # noqa: E731
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0

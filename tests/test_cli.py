@@ -21,6 +21,7 @@ from _oracles import (
     convolution_recursion_loop,
     csv_rows,
     cusum_mgf_matrix_dense,
+    cusum_variance_direct,
     json_fragment,
     read_values_per_line,
     rectified_exp_seq_loop,
@@ -918,17 +919,18 @@ class TestGoldenOutput:
     json_fragment and csv_cell), numpy 2.4.6 and scipy 1.17.1; the detect
     data come on standard input, so the echoed configuration holds no path.
     fig1, fig3 and mgf-recursive print M_n to 17 digits and were recorded
-    again for the blocked convolution engine, and mgf-matrix for the
-    blocked sum-law engine and again for the panel solve of the matrix
-    route; TestRecursionOracleGolden keeps the digests of the loops and the
-    dense solve they replaced.
+    again for the blocked convolution engine, mgf-matrix for the blocked
+    sum-law engine and again for the panel solve of the matrix route, and
+    fig2 and moments, which print Var W_n to 17 digits, for the FFT cross
+    sum of the variance; TestRecursionOracleGolden keeps the digests of the
+    loops, the dense solve and the direct self-convolution they replaced.
     """
 
     @pytest.mark.parametrize("argv, digest", [
         (["figures", "--which", "1", "--n", "200"], "d267710098d90a7a35f6ba84403ef02e9065ca287ab0d4266cd9a9e88840c06c"),
-        (["figures", "--which", "2", "--n", "200"], "30c1491f74512cff8ff4d42c9a9001f105d1f0f5db132c83f5d7f138ef5ac5f5"),
+        (["figures", "--which", "2", "--n", "200"], "b2244603a164ba407bac572d448c1a98752aba5351d716f321877734c1739eec"),
         (["figures", "--which", "3", "--n", "200"], "429b3e0665b459dd401646c74b11ad9c8089fa26642d00dc3fa3d0a6dd7d250e"),
-        (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
+        (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "17d9df0bc738388c75e4488ab8f57108e49f5ea005bbd5efeda7362c747ff496"),
         (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "c06cd4d2770a1fcc8c21979bc032fc4c5ae50f3aff51e2e7bd409a36907229cb"),
         (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
           "--method", "matrix"], "bfd972fb452815fc6a318c9bef86941b125350949e1d840310913986e08e7141"),
@@ -1009,21 +1011,27 @@ _MGF_OUTPUTS = [
     (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
       "--method", "matrix"], _detect_data,
      "794be847f64fc97986015fcdc0f9c2ee5479c31db563117bea2c1dad6f76743a"),
+    (["figures", "--which", "2", "--n", "200"], _detect_data,
+     "30c1491f74512cff8ff4d42c9a9001f105d1f0f5db132c83f5d7f138ef5ac5f5"),
+    (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], _detect_data,
+     "ad2c7cce776cd1d4686f3bb5df65f4bf5d3394c079787f3236cd86c8e0af8bc1"),
 ]
-_MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli", "mgf-matrix"]
+_MGF_IDS = ["fig1", "fig3", "mgf-recursive", "threshold-bernoulli", "mgf-matrix",
+            "fig2", "moments"]
 
 
 @pytest.fixture
 def loop_oracles(monkeypatch):
-    """Returns a function that routes M_n, the matrix route's M_n and the
-    rectified sums of finite supports through the loops and the dense solve
-    of tests/_oracles.py.  The moment caches are emptied when it is called
-    and after the test, so no value crosses between the oracles and the
-    engines."""
+    """Returns a function that routes M_n, the matrix route's M_n, Var W_n
+    and the rectified sums of finite supports through the loops, the dense
+    solve and the direct self-convolution of tests/_oracles.py.  The moment
+    caches are emptied when it is called and after the test, so no value
+    crosses between the oracles and the engines."""
 
     def use_loops():
         monkeypatch.setattr(moments, "convolution_recursion", convolution_recursion_loop)
         monkeypatch.setattr(moments, "cusum_mgf_matrix", cusum_mgf_matrix_dense)
+        monkeypatch.setattr(moments, "cusum_variance", cusum_variance_direct)
         monkeypatch.setattr(models._DiscreteBase, "rectified_exp_seq", rectified_exp_seq_loop)
         monkeypatch.setattr(models._DiscreteBase, "rectified_moment_seq",
                             rectified_moment_seq_loop)
@@ -1056,11 +1064,12 @@ def _same_but_numbers(got, want, where="result"):
 
 class TestRecursionOracleGolden:
     """The outputs whose digests moved with the blocked convolution engine,
-    the blocked sum-law engine or the panel solve of the matrix route.
+    the blocked sum-law engine, the panel solve of the matrix route or the
+    FFT cross sum of the variance.
 
     Through the oracles of tests/_oracles.py (the term-by-term recursion,
-    the per-step rectified sums and the dense matrix solve) they keep the
-    bytes recorded before the engines; through the engines they differ from
+    the per-step rectified sums, the dense matrix solve and the direct
+    self-convolution) they keep the bytes recorded before the engines; through the engines they differ from
     those only in the last digits of numbers.
     """
 

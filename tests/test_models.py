@@ -292,13 +292,10 @@ def _negative_drift_tables(draw):
 
 def _rounding_band(model, root, ref):
     """16 eps S / |f'(root)| + 2 ulp, S the sum of the absolute terms of
-    the form solved at ref: the distance from ref within which the float
-    root of that form may land."""
+    the expm1 sum at ref: the distance from ref within which the float
+    root of that sum may land."""
     y, p = np.asarray(model.support), np.asarray(model.probs)
-    if model._solves_expm1():
-        terms = float(np.dot(np.abs(np.expm1(ref * y)), p))
-    else:
-        terms = float(np.dot(np.exp(ref * y), p)) + 1.0
+    terms = float(np.dot(np.abs(np.expm1(ref * y)), p))
     return 16.0 * _EPS * terms / abs(model.mgf_prime(root)) + 2.0 * math.ulp(ref)
 
 
@@ -390,12 +387,13 @@ class TestBrentq:
 
     def test_wide_table_root_to_float_precision(self):
         # lambda* = 4.0e-7, where m' = 780: brentq's absolute xtol of 1e-15
-        # left the root 3.9e-11 off; m - 1 is a multiple of 1.1e-16 there,
-        # so the float roots of m - 1 lie within eps / m' (7e-13 relative)
+        # left the root 3.9e-11 off, and a search on m - 1, a multiple of
+        # 1.1e-16 there, 2.6e-13 relative off; on the expm1 sum it lands
+        # within that sum's rounding band
         model = models.parse_model("table:y=100000;-40000,p=0.28;0.72")
         root = model.lambda_star()
         ref = expm1_root_decimal(model, root / 2.0, 2.0 * root)
-        assert abs(root - ref) <= _EPS / model.mgf_prime(root)
+        assert abs(root - ref) <= _rounding_band(model, root, ref)
         assert abs(lambda_star_brentq(model) - ref) > 3e-11 * ref
 
     @given(model=_negative_drift_tables())
@@ -408,9 +406,17 @@ class TestBrentq:
         band = _rounding_band(model, root, ref)
         assert abs(root - ref) <= band
         # brentq stopped within xtol + rtol * lambda = 1e-15 (1 + lambda) of
-        # a float root of the same form: loose for small roots, 1.6e-6
-        # relative at lambda = 6.4e-10
-        assert abs(root - lambda_star_brentq(model)) <= 2.0 * band + 1e-15 * (1.0 + root)
+        # a float root of the form it solved: loose for small roots, 1.6e-6
+        # relative at lambda = 6.4e-10.  For means below -1e-4 E|Y| that
+        # form was m - 1, whose float roots lie within 16 eps (m + 1) / m'
+        # of ref: 7e-10 for y = (0.03125, -1), mean -1.0e-5, where it
+        # landed 5.0e-12 from the expm1 sum's root
+        old_band = band
+        if not -model.mean() < 1e-4 * model._spread():
+            old_band = (16.0 * _EPS * (model.mgf(ref) + 1.0) / abs(model.mgf_prime(root))
+                        + 2.0 * math.ulp(ref))
+        assert (abs(root - lambda_star_brentq(model))
+                <= band + old_band + 1e-15 * (1.0 + root))
 
     @given(model=_negative_drift_tables(), u=st.one_of(
         st.floats(0.01, 0.99), st.floats(-4.0, -1.0).map(lambda e: 1.0 - 10.0**e)))

@@ -13,6 +13,7 @@ from cusumkit.errors import DivergentMoment, FormulaMismatch
 from _oracles import (
     convolution_recursion_loop,
     cusum_mgf_matrix_dense,
+    cusum_variance_direct,
     mgf_partitions,
     path_mean_var_mgf,
 )
@@ -347,6 +348,43 @@ class TestVarianceRecursionDiagnostic:
             table = moments.moment_table(nllr, 10)
         assert table.recursion_gap > 0.0
         assert np.all(np.diff(table.means) > 0)
+
+
+def _check_variance_against_direct(model, n):
+    """V_k and the recursion gap of cusum_variance against the direct
+    self-convolution, within 1e-13 of the scale of the cancellation in V_k:
+    sum_{j<=k} E(S_j+)^2 / j + (sum_{j<=k} m_j)^2."""
+    vars_, gap = moments.cusum_variance(model, n)
+    want, want_gap = cusum_variance_direct(model, n)
+    m1, m2 = moments._sum_moment_seq(model, n)
+    k = np.arange(1, n + 1)
+    scale = np.concatenate(([0.0], np.cumsum(m2 / k) + np.cumsum(m1 / k) ** 2))
+    assert np.all(np.abs(vars_ - want) <= 1e-13 * scale)
+    assert abs(gap - want_gap) <= 1e-13 * scale[-1]
+
+
+_HORIZONS = [1, 2, 3, 127, 128, 2000]
+_DELTAS = [0.05, 1.5, 8.0, 40.0]
+
+
+@pytest.mark.filterwarnings("ignore::cusumkit.errors.FormulaMismatch")
+class TestVarianceCrossSum:
+    """The FFT cross sum of cusum_variance against np.convolve's direct
+    self-convolution."""
+
+    @given(model=st.one_of(_increment_models(),
+                           st.sampled_from(_DELTAS).map(models.NormalLLR)),
+           n=st.sampled_from(_HORIZONS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct(self, model, n):
+        _check_variance_against_direct(model, n)
+
+    @pytest.mark.parametrize("delta", _DELTAS)
+    def test_underflowing_terms(self, delta):
+        # m_k = E S_k+ / k decays like exp(-k delta^2 / 8): at delta = 8 and
+        # 40 most of the 2 000 terms are subnormal or 0, and at 1.5 many of
+        # the products m_i m_j are subnormal
+        _check_variance_against_direct(models.NormalLLR(delta), 2000)
 
 
 class TestAsymptote:
