@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from . import rng
 from .errors import (
     DivergentMoment,
     NoConvergence,
@@ -129,15 +130,28 @@ class IncrementModel:
     def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF: increments distributed as Y from uniforms u in (0, 1).
 
-        The only map from uniforms to increments; Monte Carlo output for a
-        seed is fixed by it, so it must stay bit-identical across releases.
-        Without ``out``, returns a new C-contiguous array of the shape of u.
-        With ``out``, a float64 array of that shape (possibly strided, or u
-        itself), writes the increments into it and returns it; nothing
-        outside ``out`` is written, and the values are those of
-        ``quantile(u)`` bit for bit.
+        Monte Carlo output for a seed is fixed by this map of the Philox
+        uniforms, so it must stay bit-identical across releases; finite
+        supports reach the same bits from the raw Philox words
+        (_DiscreteBase.from_words).  Without ``out``, returns a new
+        C-contiguous array of the shape of u.  With ``out``, a float64
+        array of that shape (possibly strided, or u itself), writes the
+        increments into it and returns it; nothing outside ``out`` is
+        written, and the values are those of ``quantile(u)`` bit for bit.
         """
         raise NotImplementedError
+
+    def increments_block(self, seed: int, first_rep: int, reps: int,
+                         n: int) -> np.ndarray:
+        """Increments of Monte Carlo replications [first_rep, first_rep +
+        reps) of a seed, shape (reps, n), written over one Philox block.
+
+        This is ``quantile(u, out=u)`` of ``rng.uniform_block(seed,
+        first_rep, reps, n)``, so the result is a view whose rows are not
+        contiguous unless n is a multiple of 4.
+        """
+        u = rng.uniform_block(seed, first_rep, reps, n)
+        return self.quantile(u, out=u)
 
     # -- critical exponent ----------------------------------------------
 
@@ -783,32 +797,68 @@ class _DiscreteBase(IncrementModel):
         return ("|sum p expm1(lambda* y)|", abs(self._expm1_sum(root)),
                 64.0 * _EPS * root * self._spread())
 
-    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # Atom index = #{j < k - 1 : cum[j] <= u}, which equals
-        # min(searchsorted(cum, u, "right"), k - 1) for any support order;
-        # leaving out cum[-1] covers cum[-1] < 1 from rounding.  The index
-        # lies in [0, k - 1], so take's "clip" never alters it.  Slices of
-        # rows of about _QUANTILE_SLICE draws keep the small index array,
-        # and take's intp copy of it, in cache; each slice of u is read in
-        # full before the same slice of out is written, so out may be u.
-        u = np.asarray(u)
-        support = np.asarray(self.support, dtype=float)
-        cum = np.cumsum(self.probs)[:-1]
+    def _cum(self) -> np.ndarray:
+        """The cut-points cum_j = p_0 + .. + p_j of the inverse CDF, j < k - 1.
+
+        Atom index = #{j : cum_j <= u}, which equals min(searchsorted(cum,
+        u, "right"), k - 1) for any support order; leaving out the last
+        cumulative sum covers one that rounds below 1.
+        """
+        return np.cumsum(self.probs)[:-1]
+
+    def _atoms(self, x: np.ndarray, cuts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Write support[#{j : x >= cuts[j]}] per element of x into out.
+
+        The index lies in [0, k - 1], so take's "clip" never alters it.
+        Slices of rows of about _QUANTILE_SLICE draws keep the small index
+        array, and take's intp copy of it, in cache; each slice of x is
+        read in full before the same slice of out is written, so out may
+        share x's memory.
+        """
+        x = np.asarray(x)
         if out is None:
-            out = np.empty(u.shape)
-        if u.ndim == 0:  # a scalar goes through as a one-element view
-            self.quantile(u.reshape(1), out=out.reshape(1))
+            out = np.empty(x.shape)
+        if x.ndim == 0:  # a scalar goes through as a one-element view
+            self._atoms(x.reshape(1), cuts, out.reshape(1))
             return out
-        index_type = np.min_scalar_type(len(cum))
-        rows = len(u)
-        step = max(1, _QUANTILE_SLICE * rows // max(u.size, 1))
+        support = np.asarray(self.support, dtype=float)
+        index_type = np.min_scalar_type(len(cuts))
+        rows = len(x)
+        step = max(1, _QUANTILE_SLICE * rows // max(x.size, 1))
         for lo in range(0, rows, step):
-            part = u[lo : lo + step]
+            part = x[lo : lo + step]
             idx = np.zeros(part.shape, dtype=index_type)
-            for c in cum:
+            for c in cuts:
                 idx += part >= c
             np.take(support, idx, out=out[lo : lo + step], mode="clip")
         return out
+
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._atoms(u, self._cum(), out)
+
+    def from_words(self, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """quantile(max((r >> 11) * 2**-53, rng.MIN_UNIFORM)) bit for bit,
+        from raw uint64 Philox words r, without forming the uniforms.
+
+        With a = r >> 11, the clamped uniform max(a * 2**-53, 2**-64)
+        reaches a cut-point cum_j > 2**-64 exactly when a >= T_j =
+        ceil(cum_j * 2**53), that is when r >= T_j * 2**11.  A cut-point
+        of at most 2**-64 is always reached (T_j = 0), and one with T_j >=
+        2**53 never, as a < 2**53, so it is left out.  ``out`` is as for
+        quantile, and may be the words' own memory.
+        """
+        cum = self._cum()
+        t = np.where(cum > rng.MIN_UNIFORM, np.ceil(np.ldexp(cum, 53)), 0.0)
+        cuts = t[t < 2.0**53].astype(np.uint64) << np.uint64(11)
+        return self._atoms(words, cuts, out)
+
+    def increments_block(self, seed: int, first_rep: int, reps: int,
+                         n: int) -> np.ndarray:
+        # The raw words map to increments in place over the whole
+        # contiguous Philox block, padding columns included, so every
+        # np.take writes a contiguous slice; the caller reads [:, :n].
+        words = rng.word_block(seed, first_rep, reps, n)
+        return self.from_words(words, out=words.view(np.float64))[:, :n]
 
     def rate_domain(self) -> tuple[float, float]:
         # A0 = lim of the tilted mean as lambda -> inf, the largest atom of

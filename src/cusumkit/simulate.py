@@ -91,21 +91,21 @@ class SimResult:
 def _increments_chunk(
     model: IncrementModel, seed: int, first_rep: int, reps: int, n: int
 ) -> np.ndarray:
-    # the increments overwrite the uniforms: one float64 array per chunk
-    u = rng.uniform_block(seed, first_rep, reps, n)
-    return model.quantile(u, out=u)
+    # the increments overwrite the chunk's Philox block: one array per chunk
+    return model.increments_block(seed, first_rep, reps, n)
 
 
 def lindley_block(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fold W_{t+1} = max(W_t + y_t, 0) over axis 1 of a (reps, n) block.
 
     Returns the terminal value W_n and the running maximum per path.  This
-    is the last stage of the chunk pipeline: Philox uniforms
-    (rng.uniform_block), then the model's inverse CDF written over them
-    (IncrementModel.quantile with out=), then this fold, on chunks of about
-    one million elements so each stage's output is still in cache for the
-    next.  The fold keeps the rep-major layout and updates its two per-path
-    accumulators in place, one column per step.
+    is the last stage of the chunk pipeline: one Philox block, mapped in
+    place to the model's increments (IncrementModel.increments_block:
+    finite supports map the raw words, normal kinds the uniforms), then
+    this fold, on chunks of about one million elements so each stage's
+    output is still in cache for the next.  The fold keeps the rep-major
+    layout and updates its two per-path accumulators in place, one column
+    per step.
     """
     reps, n = y.shape
     w = np.zeros(reps)

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -1055,3 +1056,67 @@ class TestQuantile:
             else:
                 want = _searchsorted_quantile(model, u)
             assert got.tobytes() == want.tobytes()
+
+
+# atoms of probability 0, below 2**-64, at it and just above it
+_TINY_PROBS = (0.0, 2.0**-70, float(np.nextafter(2.0**-64, 0.0)), 2.0**-64,
+               float(np.nextafter(2.0**-64, 1.0)), 1e-300)
+
+
+@st.composite
+def _word_tables(draw):
+    """Finite supports for the word map: 1 to 258 atoms, on both sides of
+    the uint8 index limit, with tiny atoms, dyadic cumulative sums (0.5 and
+    the like) and a total rounding below or above 1."""
+    k = draw(st.one_of(st.integers(1, 7), st.integers(251, 255)))
+    if draw(st.booleans()):
+        # 2**-e / 2**ceil(log2 k) each, the last atom taking the exact rest
+        scale = 2.0 ** -math.ceil(math.log2(k))
+        head = [2.0 ** -draw(st.integers(0, 6)) * scale for _ in range(k - 1)]
+        weights = head + [1.0 - sum(head)]
+    else:
+        raw = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)
+                   .filter(lambda w: sum(w) > 0))
+        weights = [w / sum(raw) for w in raw]
+    for _ in range(draw(st.integers(0, 3))):
+        weights.insert(draw(st.integers(0, len(weights))),
+                       draw(st.sampled_from(_TINY_PROBS)))
+    shrink = draw(st.sampled_from([1.0, 1.0 - 2e-16, 1.0 - 5e-13, 1.0 + 2e-16,
+                                   1.0 + 5e-13]))
+    values = [float(v) - 0.5 * len(weights)
+              for v in draw(st.permutations(range(len(weights))))]
+    return models.DiscreteTable(tuple(values),
+                                tuple(min(w * shrink, 1.0) for w in weights))
+
+
+class TestWordMap:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_words_match_clamped_uniforms(self, data):
+        model = data.draw(st.one_of(
+            _word_tables(), st.floats(0.01, 0.99).map(models.BernoulliPM),
+            st.just(models.BernoulliPM(0.5))))
+        # each cut-point T_j = ceil(cum_j * 2**53) in exact arithmetic, and
+        # the words on both sides of T_j * 2**11
+        words = [0, 2**11 - 1, 2**64 - 1]
+        for c in np.cumsum(model.probs).tolist():
+            t = math.ceil(Fraction(c) * 2**53)
+            words += [t * 2**11 - 1, t * 2**11]
+        words += data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+        r = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+        u = np.maximum((r >> np.uint64(11)) * 2.0**-53, rng.MIN_UNIFORM)
+        want = model.quantile(u)
+        assert model.from_words(r).tobytes() == want.tobytes()
+        # in place over the words' own memory, in slices of a few rows
+        block = r.reshape(-1, 1).copy()
+        with mock.patch.object(models, "_QUANTILE_SLICE", data.draw(st.sampled_from([1, 5]))):
+            got = model.from_words(block, out=block.view(np.float64))
+        assert got.base is block and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 12])
+    @pytest.mark.parametrize("model", [models.BernoulliPM(0.3), TABLE3],
+                             ids=["bernoulli", "table3"])
+    def test_block_matches_uniform_quantile(self, model, n):
+        y = model.increments_block(5, 2, 9, n)
+        want = model.quantile(rng.uniform_block(5, 2, 9, n))
+        assert y.shape == (9, n) and y.tobytes() == want.tobytes()

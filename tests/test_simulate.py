@@ -53,6 +53,14 @@ class TestSubstreams:
         u = rng.uniform_block(3, 0, 100, 64)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
+    def test_words_make_the_uniforms(self):
+        for n in (1, 10, 12):
+            words = rng.word_block(7, 3, 5, n)
+            assert words.shape == (5, 4 * rng.blocks_per_rep(n))
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            u = np.maximum((words >> np.uint64(11)) * 2.0**-53, rng.MIN_UNIFORM)
+            np.testing.assert_array_equal(u[:, :n], rng.uniform_block(7, 3, 5, n))
+
     def test_substream_matches_block(self):
         block = rng.uniform_block(7, 0, 5, 10)
         gen = rng.substream(7, 3, 10)
@@ -517,9 +525,15 @@ class TestStoppingStats:
                 simulate.stopping_stats(models.ShiftedNormal(-0.5, 1.0), **args)
 
     def test_tail_threshold_checked_before_any_draw(self):
-        with mock.patch.object(rng, "uniform_block", side_effect=AssertionError("drew")):
-            with pytest.raises(ValueError, match="^h must be >= 0, got nan$"):
-                simulate.mc_tail_max(models.BernoulliPM(0.3), 10, math.nan, 100, 1)
+        # lattice models draw raw words, normal ones uniforms
+        with mock.patch.object(rng, "uniform_block", side_effect=AssertionError("drew")), \
+                mock.patch.object(rng, "word_block", side_effect=AssertionError("drew")):
+            for model in (models.BernoulliPM(0.3), models.NormalLLR(1.0)):
+                with pytest.raises(ValueError, match="^h must be >= 0, got nan$"):
+                    simulate.mc_tail_max(model, 10, math.nan, 100, 1)
+                # the patches sit on the path a valid threshold takes
+                with pytest.raises(AssertionError, match="^drew$"):
+                    simulate.mc_tail_max(model, 10, 1.0, 100, 1)
 
     def test_horizon_warning(self):
         m = models.ShiftedNormal(-0.01, 1.0)  # long excursions
