@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri_exp
 
 from .errors import DivergentMoment, InvalidAlpha, NotSupportedModel, UnstableQueue
-from .models import IncrementModel, NormalLLR, _newton_root, cached_lambda_star
+from .models import IncrementModel, NormalLLR, cached_lambda_star
 from .moments import cusum_mgf_recursive
 
 __all__ = [
@@ -127,26 +127,6 @@ class LowerBoundDetail:
     lb1: float
     k1: int  # maximizer over k in [1, n]
     lb2: float  # the k = 1 member
-    fixed_point_k: float  # published single-k approximation, for comparison
-    lb_at_fixed_point: float
-
-
-def _fixed_point_k(delta: float, n: int) -> float:
-    # root of x * exp((x + delta^2/2)^2 / (2 delta^2)) = n, solved for
-    # u = log x, where the equation reads f(u) = 0 with f increasing.  At
-    # large delta the root x is near n exp(-delta^2 / 8), below every float,
-    # and rounds to 0.0 (segment length 1 below).
-    def f(u: float) -> float:
-        x = math.exp(u)
-        return u + delta**2 / 8.0 + x / 2.0 + (x / delta) ** 2 / 2.0 - math.log(n)
-
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    fprime = lambda u: 1.0 + math.exp(u) / 2.0 + (math.exp(u) / delta) ** 2  # noqa: E731
-    return math.exp(_newton_root(f, fprime, lo, hi))
 
 
 def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoundDetail:
@@ -171,16 +151,7 @@ def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoun
         h = delta * np.sqrt(k) * z[where] - k * delta**2 / 2.0
     h[np.isnan(h)] = -math.inf  # the loop's `h > best_h` never takes a NaN
     best = int(np.argmax(h))
-    best_h, best_k = float(h[best]), best + 1
-    fp = _fixed_point_k(delta, n)
-    fp_k = max(1, min(n, int(round(fp))))
-    return LowerBoundDetail(
-        lb1=best_h,
-        k1=best_k,
-        lb2=float(h[0]),
-        fixed_point_k=fp,
-        lb_at_fixed_point=float(h[fp_k - 1]),
-    )
+    return LowerBoundDetail(lb1=float(h[best]), k1=best + 1, lb2=float(h[0]))
 
 
 def threshold_lb(model: IncrementModel, n: int, alpha: float, variant: str) -> float:

@@ -1,12 +1,13 @@
 """Exact CUSUM moment and MGF sequences.
 
 Two routes to the exponential moments M_n(lambda) = E exp(lambda * W_n)
-are provided: the convolution recursion, solved by blocked forward
-substitution (cusum_mgf_recursive), and the row-scaled unit
-lower-triangular system, solved in panels without forming its matrix
-(cusum_mgf_matrix, behind ``mgf --method matrix``).  The variance table
-V_0..V_N (cusum_variance) takes its cross sum from one real FFT of the
-sequence E S_k+ / k, O(N log N).  The tests hold the independent
+run one blocked forward substitution (_toeplitz_forward) on the same
+lower-triangular Toeplitz system: the convolution recursion solves its
+rows as they are (cusum_mgf_recursive), and the matrix route solves them
+scaled to a unit diagonal, without forming its matrix (cusum_mgf_matrix,
+behind ``mgf --method matrix``).  The variance table V_0..V_N
+(cusum_variance) takes its cross sum from one real FFT of the sequence
+E S_k+ / k, O(N log N).  The tests hold the independent
 references they must match (tests/_oracles.py): the one-term-at-a-time
 O(N^2) loop of the recursion, the dense matrix solve, the direct O(N^2)
 self-convolution of the variance and, for small n, brute-force
@@ -45,10 +46,14 @@ __all__ = [
     "asymptote_slope",
 ]
 
-# rows per forward-substitution block of convolution_recursion; 64 and 256
-# were slower at N = 2 000 and 20 000
+# rows per block of _toeplitz_forward, the forward substitution of both
+# M_n routes; 64 and 256 were slower at N = 2 000 and 20 000
 _BLOCK = 128
 _MISMATCH_TOL = 1e-9
+# asymptote_slope sums d_k until they contract below _SLOPE_TOL, within
+# _SLOPE_MAX_TERMS terms
+_SLOPE_TOL = 1e-10
+_SLOPE_MAX_TERMS = 5000
 
 
 @dataclass(frozen=True)
@@ -70,19 +75,17 @@ class MgfSeries:
     values: np.ndarray
 
 
-def convolution_recursion(x: np.ndarray) -> np.ndarray:
-    """Given x[0..N-1] = x_1..x_N, return b[0..N] with b_0 = 1 and
-    b_{n+1} = (1/(n+1)) sum_{k<=n} b_k x_{n-k+1}.
+def _toeplitz_forward(x: np.ndarray, scale_rows: bool) -> np.ndarray:
+    """Given x[0..N-1] = x_1..x_N, return b[0..N] with b_0 = 1 solving the
+    lower-triangular rows r b_r - sum_{0<c<r} x_{r-c} b_c = x_r, r = 1..N,
+    each row divided by r first when scale_rows is set.
 
-    The b_n solve the lower-triangular system n b_n - sum_{0<k<n} x_{n-k} b_k
-    = x_n b_0, n = 1..N, which is solved by forward substitution in blocks
-    of _BLOCK rows.  For the rows i0..i1-1 of a block, one correlation adds
-    up the terms over the solved b_0..b_{i0-1}, and one triangular solve
-    (LAPACK dtrtrs, called directly) finishes the block; its matrix is the
-    same strictly lower Toeplitz block -x_{r-c} for every block, with r on
-    the diagonal of row r.  The products are those of the term-by-term
-    recursion, summed in another order, so the two agree to rounding for
-    inputs of any sign.
+    Forward substitution in blocks of _BLOCK rows: for the rows i0..i1-1 of
+    a block, one correlation adds up the terms over the solved
+    b_0..b_{i0-1}, and one triangular solve (LAPACK dtrtrs, called
+    directly) finishes the block.  Its matrix is the same strictly lower
+    Toeplitz block -x_{r-c} for every block, with r on the diagonal of row
+    r; divided per row, that diagonal is exactly 1.0.
     """
     n_terms = x.shape[0]
     b = np.empty(n_terms + 1)
@@ -92,22 +95,44 @@ def convolution_recursion(x: np.ndarray) -> np.ndarray:
     diagonal = block.reshape(-1)[:: size + 1]  # a view: written per block
     for i0 in range(1, n_terms + 1, _BLOCK):
         i1 = min(i0 + _BLOCK, n_terms + 1)
-        rows = i1 - i0
+        rows = np.arange(i0, i1)
         # rhs[r - i0] = sum_{c < i0} x_{r-c} b_c for r = i0..i1-1
         rhs = np.correlate(x[: i1 - 1], b[i0 - 1 :: -1], "valid")
-        diagonal[:rows] = np.arange(i0, i1)
-        # solve_triangular(block[:rows, :rows], rhs, lower=True) without
-        # its 30-45 us of wrapper: the same LAPACK call on the transposed
-        # (Fortran-ordered) upper triangle, so the same bits.  The diagonal
-        # is i0..i1-1 >= 1, so the solve never meets a zero pivot.
-        b[i0:i1], _ = dtrtrs(block[:rows, :rows].T, rhs, lower=0, trans=1)
+        diagonal[: rows.size] = rows
+        panel = block[: rows.size, : rows.size]
+        if scale_rows:
+            rhs = rhs / rows
+            panel = panel / rows[:, None]
+        # solve_triangular(panel, rhs, lower=True) without its 30-45 us of
+        # wrapper: the same LAPACK call on the transposed (Fortran-ordered)
+        # upper triangle, so the same bits.  The diagonal is i0..i1-1 >= 1,
+        # or 1.0, so the solve never meets a zero pivot.
+        b[i0:i1], _ = dtrtrs(panel.T, rhs, lower=0, trans=1)
     return b
+
+
+def convolution_recursion(x: np.ndarray) -> np.ndarray:
+    """Given x[0..N-1] = x_1..x_N, return b[0..N] with b_0 = 1 and
+    b_{n+1} = (1/(n+1)) sum_{k<=n} b_k x_{n-k+1}.
+
+    The b_n solve the unscaled rows of _toeplitz_forward.  The products are
+    those of the term-by-term recursion, summed in another order, so the
+    two agree to rounding for inputs of any sign.
+    """
+    return _toeplitz_forward(x, scale_rows=False)
 
 
 @lru_cache(maxsize=64)
 def _x_seq(model: IncrementModel, lam: float, n: int) -> np.ndarray:
-    """Cached x_k = E exp(lam * S_k+) for k = 1..n (read-only)."""
+    """Cached x_k = E exp(lam * S_k+) for k = 1..n (read-only); a non-finite
+    x_k is refused, for both M_n routes."""
     xs = model.rectified_exp_seq(lam, n)
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise DivergentMoment(
+            f"E exp(lam * S_k+) is not finite at lam = {lam:g}, "
+            f"k = {bad.argmax() + 1}, for {model.spec()}"
+        )
     xs.setflags(write=False)
     return xs
 
@@ -203,82 +228,53 @@ def moment_table(model: IncrementModel, n: int) -> MomentTable:
     )
 
 
-def _check_lambda(lam: float) -> None:
+def _check_mgf_args(lam: float, n: int) -> None:
     if math.isnan(lam):
         raise ValueError(f"lambda must be a number, got {lam:g}")
     if math.isinf(lam):
         raise ValueError(f"lambda must be finite, got {lam:g}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
 
 
 def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n by the convolution recursion
     M_{k+1} = (1/(k+1)) sum_{j<=k} M_j x_{k-j+1}, solved by blocked forward
     substitution (convolution_recursion)."""
-    _check_lambda(lam)
-    xs = _x_seq(model, lam, n) if n > 0 else np.empty(0)
-    values = convolution_recursion(xs)
+    _check_mgf_args(lam, n)
+    values = convolution_recursion(_x_seq(model, lam, n))
     return MgfSeries(lam=lam, horizon=n, values=values)
 
 
 def cusum_mgf_matrix(model: IncrementModel, lam: float, n: int) -> MgfSeries:
     """M_0..M_n as the solution of the unit lower-triangular system
-    (I - A) M = e, A[r, c] = x_{r-c} / r for c < r, by forward substitution
-    in panels of _BLOCK rows; the matrix is never formed.
-
-    For the rows i0..i1-1 of a panel, one correlation over the solved
-    M_0..M_{i0-1}, divided by r, gives the sum of the off-panel terms, and
-    one triangular solve (LAPACK dtrtrs, unit diagonal) finishes the panel;
-    its block -x_{r-c} / r is one Toeplitz block divided per row.  Each row
-    is scaled by 1/r before the solve, so the route is numerically separate
-    from cusum_mgf_recursive, which solves the unscaled rows."""
-    _check_lambda(lam)
-    if n == 0:
-        return MgfSeries(lam=lam, horizon=0, values=np.ones(1))
-    xs = _x_seq(model, lam, n)
-    if not np.isfinite(xs).all():
-        raise DivergentMoment(
-            f"E exp(lam * S_k+) is not finite at lam = {lam:g} for some k <= {n}"
-        )
-    values = np.empty(n + 1)
-    values[0] = 1.0
-    size = min(_BLOCK, n)
-    block = toeplitz(np.concatenate(([0.0], -xs[: size - 1])), np.zeros(size))
-    for i0 in range(1, n + 1, _BLOCK):
-        i1 = min(i0 + _BLOCK, n + 1)
-        rows = np.arange(i0, i1)
-        # rhs[r - i0] = sum_{c < i0} x_{r-c} M_c / r for r = i0..i1-1
-        rhs = np.correlate(xs[: i1 - 1], values[i0 - 1 :: -1], "valid") / rows
-        panel = block[: rows.size, : rows.size] / rows[:, None]
-        # the transposed (Fortran-ordered) upper triangle: the lower
-        # triangular solve without solve_triangular's wrapper, as in
-        # convolution_recursion; the zero diagonal is read as ones
-        values[i0:i1], _ = dtrtrs(panel.T, rhs, lower=0, trans=1, unitdiag=1)
+    (I - A) M = e, A[r, c] = x_{r-c} / r for c < r, by the blocked forward
+    substitution of _toeplitz_forward; the matrix is never formed.  Each
+    row is scaled by 1/r before the solve, so the route is numerically
+    separate from cusum_mgf_recursive, which solves the unscaled rows."""
+    _check_mgf_args(lam, n)
+    values = _toeplitz_forward(_x_seq(model, lam, n), scale_rows=True)
     return MgfSeries(lam=lam, horizon=n, values=values)
 
 
-def asymptote_slope(
-    model: IncrementModel,
-    tol: float = 1e-10,
-    max_terms: int = 5000,
-) -> tuple[float, float]:
+def asymptote_slope(model: IncrementModel) -> tuple[float, float]:
     """Slope and intercept of the slant asymptote of M_n(lambda*).
 
     The slope is the convergent series a = sum_k d_k with
     d_k = B~_k(x_1 - 2, ..., x_k - 2) evaluated at lambda*, summed until
-    the terms contract below tol (the tail decays geometrically once the
-    inputs are near zero); the intercept follows from the weighted tail
+    the terms contract below _SLOPE_TOL (the tail decays geometrically once
+    the inputs are near zero); the intercept follows from the weighted tail
     1 - sum_{k>=2} (k-1) d_k.
     """
     lam_star = cached_lambda_star(model)  # rejects P(Y > 0) = 0 models
     size = 256
     while True:
-        xs = model.rectified_exp_seq(lam_star, size)
-        d = convolution_recursion(xs - 2.0)
+        d = convolution_recursion(_x_seq(model, lam_star, size) - 2.0)
         stop = None
         for k in range(2, size + 1):
             prev, cur = abs(d[k - 1]), abs(d[k])
             ratio = min(cur / prev, 0.9) if prev > 0 else 0.0
-            if cur < tol * (1.0 - ratio):
+            if cur < _SLOPE_TOL * (1.0 - ratio):
                 stop = k
                 break
         if stop is not None:
@@ -286,8 +282,8 @@ def asymptote_slope(
             weights = np.arange(-1, stop, dtype=float)  # k-1 for k = 0..stop
             intercept = 1.0 - float(np.sum(weights[2:] * d[2:stop + 1]))
             return slope, intercept
-        if size >= max_terms:
+        if size >= _SLOPE_MAX_TERMS:
             raise NoConvergence(
-                f"difference series did not contract within {max_terms} terms"
+                f"difference series did not contract within {_SLOPE_MAX_TERMS} terms"
             )
-        size = min(2 * size, max_terms)
+        size = min(2 * size, _SLOPE_MAX_TERMS)

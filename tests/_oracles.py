@@ -122,14 +122,10 @@ def cusum_mgf_matrix_dense(model, lam, n):
     """M_0..M_n as the solution of the unit lower-triangular system
     (I - A) M = e, A[r, c] = x_{r-c} / r, built as one dense (N+1)^2 matrix
     and solved by forward substitution (BLAS trsv)."""
-    moments._check_lambda(lam)
+    moments._check_mgf_args(lam, n)
     if n == 0:
         return moments.MgfSeries(lam=lam, horizon=0, values=np.ones(1))
-    xs = moments._x_seq(model, lam, n)
-    if not np.isfinite(xs).all():
-        raise DivergentMoment(
-            f"E exp(lam * S_k+) is not finite at lam = {lam:g} for some k <= {n}"
-        )
+    xs = moments._x_seq(model, lam, n)  # refuses a non-finite x_k
     size = n + 1
     system = np.eye(size)
     neg_rev_x = -xs[::-1]
@@ -326,8 +322,10 @@ def rate_function_decimal(model, x):
 
 
 def fixed_point_k_brentq(delta, n):
-    """bounds._fixed_point_k by scipy's brentq to full relative precision
-    (rtol = 4 eps) on the same equation and bracket."""
+    """The published single-k approximation of the lower bounds' segment
+    length: the root x of x exp((x + delta^2/2)^2 / (2 delta^2)) = n, solved
+    for u = log x by scipy's brentq to full relative precision (rtol =
+    4 eps).  At large delta it is below every float and rounds to 0.0."""
     def f(u):
         x = math.exp(u)
         return u + delta**2 / 8.0 + x / 2.0 + (x / delta) ** 2 / 2.0 - math.log(n)

@@ -13,7 +13,14 @@ from cusumkit.errors import (
     UnstableQueue,
 )
 
-from _oracles import lower_bound_argmax_loop, segment_lower_bound
+from _oracles import fixed_point_k_brentq, lower_bound_argmax_loop, segment_lower_bound
+
+
+def _bound_at_fixed_point(delta, n, alpha):
+    """The segment bound at the published single-k approximation, the
+    fixed point rounded into [1, n]."""
+    k = max(1, min(n, int(round(fixed_point_k_brentq(delta, n)))))
+    return segment_lower_bound(delta, n, alpha, k)
 
 
 @pytest.fixture(scope="module")
@@ -105,22 +112,13 @@ class TestLowerThresholds:
         detail = bounds.lower_bound_detail(nllr, 500, 0.05)
         assert detail.lb1 >= detail.lb2
         assert 1 <= detail.k1 <= 500
-        assert detail.lb1 >= detail.lb_at_fixed_point - 1e-12
-
-    def test_fixed_point_solves_equation(self, nllr):
-        n = 500
-        detail = bounds.lower_bound_detail(nllr, n, 0.05)
-        x = detail.fixed_point_k
-        d = nllr.delta
-        assert x * math.exp((x + d**2 / 2) ** 2 / (2 * d**2)) == pytest.approx(
-            n, rel=1e-9
-        )
+        assert detail.lb1 >= _bound_at_fixed_point(nllr.delta, 500, 0.05) - 1e-12
 
     def test_fixed_point_below_every_float_rounds_to_zero(self):
         # the root is near n exp(-delta^2 / 8) = 10 exp(-800)
         detail = bounds.lower_bound_detail(models.NormalLLR(80.0), 10, 0.05)
-        assert detail.fixed_point_k == 0.0
-        assert detail.lb_at_fixed_point == detail.lb2 == detail.lb1
+        assert fixed_point_k_brentq(80.0, 10) == 0.0
+        assert _bound_at_fixed_point(80.0, 10, 0.05) == detail.lb2 == detail.lb1
 
     def test_normal_only(self):
         with pytest.raises(NotSupportedModel):
@@ -142,8 +140,7 @@ class TestLowerThresholds:
         detail = bounds.lower_bound_detail(models.NormalLLR(delta), n, alpha)
         assert (detail.lb1, detail.k1) == lower_bound_argmax_loop(delta, n, alpha)
         assert detail.lb2 == segment_lower_bound(delta, n, alpha, 1)
-        fp_k = max(1, min(n, int(round(detail.fixed_point_k))))
-        assert detail.lb_at_fixed_point == segment_lower_bound(delta, n, alpha, fp_k)
+        assert detail.lb1 >= _bound_at_fixed_point(delta, n, alpha)
 
     @pytest.mark.parametrize("alpha", [1e-17, 1e-20, 1e-300])
     @pytest.mark.parametrize("n", [10, 2000])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from cusumkit import bounds, cli, models, moments, rng
+from cusumkit import cli, models, moments, rng
 from cusumkit.errors import (
     DivergentMoment,
     NoConvergence,
@@ -28,7 +28,6 @@ from cusumkit.errors import (
 from _oracles import (
     enumerate_paths,
     expm1_root_decimal,
-    fixed_point_k_brentq,
     lambda_star_brentq,
     quad_one_minus_exp_pos,
     quad_rectified_exp,
@@ -212,8 +211,8 @@ def _counted(f, counts):
 
 
 @contextmanager
-def _solve_counts(module):
-    """Within it, each root search through module._newton_root appends its
+def _solve_counts():
+    """Within it, each root search through models._newton_root appends its
     number of values of f to the yielded list."""
     counts = []
     solve = models._newton_root
@@ -225,7 +224,7 @@ def _solve_counts(module):
         finally:
             counts.append(len(calls))
 
-    with mock.patch.object(module, "_newton_root", counting):
+    with mock.patch.object(models, "_newton_root", counting):
         yield counts
 
 
@@ -303,7 +302,7 @@ def _rounding_band(model, root, ref):
 def _lambda_star_checked(model):
     """model.lambda_star(), None when the mean is 0 up to rounding, after
     checking that no search took more than _MAX_EVALS values."""
-    with _solve_counts(models) as counts:
+    with _solve_counts() as counts:
         try:
             root = model.lambda_star()
         except NoPositiveRoot:
@@ -430,7 +429,7 @@ class TestBrentq:
         if not lo < x < hi:
             reject()
 
-        with _solve_counts(models) as counts:
+        with _solve_counts() as counts:
             rate, lam = model.rate_function(x)
         assert max(counts) <= models._MAX_EVALS
         want_rate, want_lam = rate_function_decimal(model, x)
@@ -453,17 +452,6 @@ class TestBrentq:
         want_rate, want_lam = rate_function_decimal(model, x)
         assert lam == pytest.approx(want_lam, rel=1e-12)
         assert rate == pytest.approx(want_rate, rel=1e-12)
-
-    @given(delta=st.one_of(st.floats(1e-3, 80.0),
-                           st.floats(-3.0, 1.9).map(lambda e: 10.0**e)),
-           n=st.integers(1, 10**6))
-    @settings(max_examples=150, deadline=None)
-    def test_fixed_point_k(self, delta, n):
-        with _solve_counts(bounds) as counts:
-            got = bounds._fixed_point_k(delta, n)
-        assert max(counts) <= models._MAX_EVALS
-        # below 1e-300 the root is subnormal or 0 in both
-        assert got == pytest.approx(fixed_point_k_brentq(delta, n), rel=1e-12, abs=1e-300)
 
     @given(values=st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True),
            data=st.data(), xtol=st.sampled_from([1e-15, 1e-12, 2e-12]),

@@ -89,18 +89,39 @@ class TestCrossMethodIdentity:
         np.testing.assert_allclose(bell, rec, rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_matrix_refuses_non_finite_x(self, nllr, monkeypatch, bad):
-        xs = nllr.rectified_exp_seq(1.0, 6)
-        xs[3] = bad
-        monkeypatch.setattr(moments, "_x_seq", lambda model, lam, n: xs[:n])
+    def test_matrix_refuses_non_finite_x(self, bad):
+        # both routes, ub1 behind the recursive one and asymptote_slope
+        # refuse a model whose x_4 is not finite; unchecked, ub1 would fall
+        # back to ub3's level and asymptote_slope run 5 000 terms of NaN
+        class BadX(models.ShiftedNormal):
+            def rectified_exp_seq(self, lam, n):
+                xs = super().rectified_exp_seq(lam, n)
+                xs[3:] = bad
+                return xs
+
+        model = BadX(-0.5, 1.0)
+        for route in (moments.cusum_mgf_matrix, moments.cusum_mgf_recursive):
+            with pytest.raises(DivergentMoment, match="not finite"):
+                route(model, 1.0, 6)
         with pytest.raises(DivergentMoment, match="not finite"):
-            moments.cusum_mgf_matrix(nllr, 1.0, 6)
+            bounds.threshold_ub(model, 6, 0.05, "ub1")
+        with pytest.raises(DivergentMoment, match="not finite"):
+            moments.asymptote_slope(model)
+        assert moments.cusum_mgf_recursive(model, 1.0, 3).values[3] > 1.0
 
     @pytest.mark.parametrize("route", [moments.cusum_mgf_recursive,
                                        moments.cusum_mgf_matrix])
     def test_nan_lambda_refused(self, nllr, route):
         with pytest.raises(ValueError, match="got nan"):
             route(nllr, math.nan, 5)
+
+    @pytest.mark.parametrize("route", [moments.cusum_mgf_recursive,
+                                       moments.cusum_mgf_matrix])
+    @pytest.mark.parametrize("model", [models.NormalLLR(1.0), models.BernoulliPM(0.3)],
+                             ids=["normal", "lattice"])
+    def test_negative_horizon_refused(self, model, route):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
+            route(model, 1.0, -3)
 
     def test_zero_horizon(self, nllr):
         assert moments.cusum_mgf_recursive(nllr, 1.0, 0).values.tolist() == [1.0]
