@@ -3,15 +3,16 @@
 One executable with subcommands for moment/MGF tables, threshold reports,
 simulation, regime classification, queue bounds, detection, and the data
 tables behind the standard diagnostic figures.  JSON output carries a
-schema_version and echoes the fully resolved configuration; CSV output
-prefixes the same configuration as a single '# config: ...' comment line
-above the header row.
+schema_version and echoes the fully resolved configuration; it is strict
+RFC 8259 JSON written by orjson, floats in the shortest text that parses
+back to the same double and non-finite ones as null.  CSV output prefixes
+the same configuration as a single '# config: ...' comment line above the
+header row.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -22,6 +23,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import orjson
 
 from . import bounds, detect, models, moments, simulate
 from .errors import CusumkitError
@@ -35,15 +37,15 @@ _SEED_ENV = "CUSUMKIT_SEED"
 # ---------------------------------------------------------------------------
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_FLOAT_FIELD = {"json": "%.17g", "csv": "%.12g"}
+_INT64_MAX = 2**63 - 1  # orjson writes integers in [-2**63, 2**64)
+_JSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 class Table:
     """Rows held as columns: arrays or sequences, all of one length.
 
-    JSON writes a table as a list of rows and CSV as one line per row, both
-    through ``_rows``.
+    JSON writes a table as a list of rows (``_json_default``) and CSV as one
+    line per row (``_rows``).
     """
 
     def __init__(self, *columns):
@@ -54,31 +56,14 @@ class Table:
         return cls(*(list(zip(*rows)) or [()] * width))
 
 
-def _json_fragment(obj) -> str:
-    """JSON with floats printed at 17 significant digits; Tables, lists and
-    arrays are written by ``_rows``."""
-    if isinstance(obj, (float, np.floating)):
-        text = format(float(obj), ".17g")
-        return _NON_FINITE.get(text, text)
+def _json_default(obj):
+    """What orjson does not write itself: a Table as its list of rows, and
+    an array that is not C-contiguous as nested lists."""
     if isinstance(obj, Table):
-        return "[" + _rows(obj.columns, "json") + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + _rows((obj,), "json", nested=False) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{json.dumps(str(k))}:{_json_fragment(v)}" for k, v in obj.items()
-        )
-        return "{" + inner + "}"
-    if dataclasses.is_dataclass(obj):
-        return _json_fragment(dataclasses.asdict(obj))
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in obj.columns]
+        return list(zip(*cells, strict=True))
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -100,35 +85,29 @@ def _kind(cells: list) -> type | None:
     return None
 
 
-def _column(values, fmt: str) -> tuple[str, list]:
-    """The %-field that writes one column in ``fmt``, and its cells.
+def _column(values) -> tuple[str, list]:
+    """The %-field that writes one CSV column, and its cells.
 
-    Ints take %d, and floats %.17g in JSON or %.12g in CSV: the formatter
-    of ``format(x, ".17g")``, so the bytes are those of the scalar writers.
-    Other cells, and the floats of a JSON column holding nan or inf (which
-    JSON spells NaN and Infinity), are rendered one at a time by the scalar
-    writer and take %s.
+    Ints take %d and floats %.12g, the formatter of ``format(x, ".12g")``,
+    so the bytes are those of ``_csv_cell``.  Other cells are rendered one
+    at a time by ``_csv_cell`` and take %s.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
         kind = float if values.dtype.kind == "f" else int
         cells = values.tolist()
-        finite = kind is int or bool(np.isfinite(values).all())
     else:
         cells = list(values)
         kind = _kind(cells)
-        finite = kind is float and all(map(math.isfinite, cells))
     if kind is int:
         return "%d", cells
-    if kind is float and (finite or fmt == "csv"):
-        return _FLOAT_FIELD[fmt], cells
-    render = _json_fragment if fmt == "json" else _csv_cell
-    return "%s", [render(v) for v in cells]
+    if kind is float:
+        return "%.12g", cells
+    return "%s", [_csv_cell(v) for v in cells]
 
 
-def _rows(columns, fmt: str, nested: bool = True) -> str:
-    """Every row of ``columns`` written by one %-template: JSON rows as
-    ``[a,b],[c,d]`` (``a,c`` when not ``nested``), CSV rows as lines."""
-    fields, cells = zip(*(_column(c, fmt) for c in columns))
+def _rows(columns) -> str:
+    """Every row of ``columns`` as a CSV line, written by one %-template."""
+    fields, cells = zip(*map(_column, columns))
     width, height = len(cells), len(cells[0])
     if width == 1:
         flat = cells[0]
@@ -136,12 +115,7 @@ def _rows(columns, fmt: str, nested: bool = True) -> str:
         flat = [None] * (width * height)
         for j, col in enumerate(cells):
             flat[j::width] = col  # raises unless every column has `height` cells
-    row = ",".join(fields)
-    if fmt == "csv":
-        template = (row + "\n") * height
-    else:
-        template = ",".join([f"[{row}]" if nested else row] * height)
-    return template % tuple(flat)
+    return ((",".join(fields) + "\n") * height) % tuple(flat)
 
 
 def _config_of(args: argparse.Namespace) -> dict:
@@ -160,12 +134,16 @@ def _emit(args, result, csv_header=None, csv_rows=None) -> None:
             "config": config,
             "result": result,
         }
-        text = _json_fragment(payload) + "\n"
+        try:
+            text = orjson.dumps(payload, default=_json_default,
+                                option=_JSON_OPTIONS).decode()
+        except orjson.JSONEncodeError as exc:
+            raise CusumkitError(f"cannot write JSON: {exc}") from None
     else:
         if csv_header is None:
             raise CusumkitError("this subcommand has no CSV form")
         text = ("# config: " + json.dumps(config, default=str) + "\n"
-                + ",".join(csv_header) + "\n" + _rows(csv_rows.columns, "csv"))
+                + ",".join(csv_header) + "\n" + _rows(csv_rows.columns))
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -631,12 +609,9 @@ def _cmd_figures(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(_SEED_ENV, "0"))
-
-
-def _integer_at_least(minimum: int):
-    """An argparse type for integers >= minimum; others exit 2 naming the flag."""
+def _integer_in(minimum: int, maximum: int = _INT64_MAX):
+    """An argparse type for integers in [minimum, maximum]; others exit 2
+    naming the flag."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -645,12 +620,23 @@ def _integer_at_least(minimum: int):
         if n < minimum:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {minimum}, got {text!r}")
+        if n > maximum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer <= {maximum}, got {text!r}")
         return n
     return parse
 
 
-_nonnegative = _integer_at_least(0)  # --n, each --ns entry, --mc-reps
-_positive = _integer_at_least(1)  # --reps, --parallel
+_nonnegative = _integer_in(0)  # --n, each --ns entry, --mc-reps
+_positive = _integer_in(1)  # --reps, --parallel
+_seed = _integer_in(0, 2**64 - 1)  # --seed and CUSUMKIT_SEED
+
+
+def _default_seed() -> int:
+    try:
+        return _seed(os.environ.get(_SEED_ENV, "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise CusumkitError(f"{_SEED_ENV}: {exc}") from None
 
 
 def _horizons(text: str) -> str:
@@ -700,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mc-reps", type=_nonnegative, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--parallel", type=_positive, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
@@ -709,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--reps", type=_positive, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="also estimate M_n at this lambda")
     p.add_argument("--parallel", type=_positive, default=1)
@@ -760,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="figure 4 only")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--mc-reps", type=_nonnegative, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--parallel", type=_positive, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_figures)

@@ -24,6 +24,8 @@ from .models import DiscreteTable, IncrementModel, NormalLLR
 
 # data are matched to support points by round(x * _KEY_SCALE)
 _KEY_SCALE = 1e9
+# monitor times stay below this, so JSON writes them as 64-bit integers
+_T_END = 2**63
 
 __all__ = [
     "NormalPair",
@@ -209,8 +211,8 @@ class CusumState:
     @classmethod
     def from_json(cls, text: str) -> "CusumState":
         """The state ``to_json`` writes: w and running_max finite numbers >= 0,
-        t an integer >= 0, alarms a list of [integer, finite number] pairs.
-        Anything else raises CusumkitError."""
+        t an integer in [0, 2**63), alarms a list of [integer in [0, 2**63),
+        finite number] pairs.  Anything else raises CusumkitError."""
         try:
             raw = json.loads(text)
         except ValueError as exc:
@@ -225,11 +227,15 @@ class CusumState:
                 raise CusumkitError(f"{k} must be a finite number >= 0, got {raw[k]!r}")
         if not (type(raw["t"]) is int and raw["t"] >= 0):
             raise CusumkitError(f"t must be an integer >= 0, got {raw['t']!r}")
+        if raw["t"] >= _T_END:
+            raise CusumkitError(f"t must be below 2**63, got {raw['t']}")
         alarms = raw["alarms"]
         if type(alarms) is not list or not all(
                 type(a) is list and len(a) == 2 and type(a[0]) is int
                 and _finite_number(a[1]) for a in alarms):
             raise CusumkitError("alarms must be a list of [t, w] pairs")
+        if not all(0 <= a[0] < _T_END for a in alarms):
+            raise CusumkitError("alarm times must lie in [0, 2**63)")
         return cls(w=float(raw["w"]), t=raw["t"], running_max=float(raw["running_max"]),
                    alarms=tuple((t, float(v)) for t, v in alarms))
 
@@ -258,10 +264,13 @@ def monitor_run(
     at a time; longer ones run ``_lane_fold``, which gives the loop's bits.
     The running maximum is the largest value before a reset (NaN skipped),
     taken when it is above the old one: for a state whose running_max is
-    not negative, the loop's ``w > top``.
+    not negative, the loop's ``w > top``.  A batch that would carry t to
+    2**63 or past is refused with CusumkitError before any step.
     """
     y = np.asarray(ys, dtype=float)
     w, t, top = state.w, state.t, state.running_max
+    if t + y.shape[0] >= _T_END:
+        raise CusumkitError(f"t would reach {t + y.shape[0]}, past 2**63 - 1")
     if y.shape[0] < _LANE_MIN or np.isnan(y).any():
         alarms: list[tuple[int, float]] = []
         path: list[float] = []

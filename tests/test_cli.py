@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -107,7 +109,10 @@ class TestPlumbing:
         def fail(*args, **kwargs):
             raise ValueError("cannot write the table")
 
-        monkeypatch.setattr(cli, "_rows", fail)
+        if fmt == "json":
+            monkeypatch.setattr(cli.orjson, "dumps", fail)  # the one JSON writer call
+        else:
+            monkeypatch.setattr(cli, "_rows", fail)
         code, out, err = run(capsys, "mgf", "--model", "normal-llr:delta=1",
                              "--lambda", "1", "--n", "5", "--format", fmt,
                              "--output", str(target))
@@ -165,6 +170,64 @@ class TestHorizons:
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err.endswith(
             f"error: argument {flag}: expected an integer >= {minimum}, got '{value}'\n")
+
+    # each value is past 2**63 - 1, so argparse refuses it before any work
+    # (a --parallel value that passed would start that many threads)
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["queue-bound", "--model", "shifted-normal:a=-0.5,sigma=1",
+          "--n", "1000000000000000000000000000000", "--h", "8"],
+         "--n", "1000000000000000000000000000000"),
+        (["figures", "--which", "4", "--ns", f"50,{2**63}"], "--ns", str(2**63)),
+        (["threshold", "--model", "normal-llr:delta=1", "--n", "10", "--alpha", "0.05",
+          "--mc-reps", str(2**63)], "--mc-reps", str(2**63)),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10",
+          "--reps", str(2**64)], "--reps", str(2**64)),
+        (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "100",
+          "--parallel", str(2**63)], "--parallel", str(2**63)),
+    ], ids=["queue-bound-n", "figures-ns", "threshold-mc-reps", "simulate-reps",
+            "simulate-parallel"])
+    def test_count_past_int64_refused(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: expected an integer <= {2**63 - 1}, got '{value}'\n")
+
+    def test_largest_horizon_written(self, capsys):
+        code, out, _ = run(capsys, "queue-bound", "--model", "shifted-normal:a=-0.5,sigma=1",
+                           "--n", str(2**63 - 1), "--h", "8")
+        assert code == 0
+        assert json.loads(out)["config"]["n"] == 2**63 - 1
+
+    @pytest.mark.parametrize("value, bound", [
+        ("-1", "an integer >= 0"), (str(2**64), f"an integer <= {2**64 - 1}"),
+    ], ids=["negative", "past-uint64"])
+    def test_seed_outside_uint64_refused(self, capsys, monkeypatch, value, bound):
+        argv = ["simulate", "--model", "normal-llr:delta=1", "--n", "5", "--reps", "10"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --seed: expected {bound}, got '{value}'\n")
+        monkeypatch.setenv("CUSUMKIT_SEED", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: CUSUMKIT_SEED: expected {bound}, got '{value}'\n"
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "normal-llr:delta=1", "--n", "5",
+                           "--reps", "10", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert json.loads(out)["result"]["seed"] == 2**64 - 1
+
+    def test_unwritable_integer_refused(self, tmp_path):
+        target = tmp_path / "out.json"
+        args = argparse.Namespace(format="json", output=str(target))
+        with pytest.raises(CusumkitError, match="Integer exceeds 64-bit range"):
+            cli._emit(args, {"t": 2**64})
+        assert not target.exists()
 
     def test_threshold_at_zero_horizon(self, capsys):
         code, out, err = run(capsys, "threshold", "--model", "normal-llr:delta=1",
@@ -310,7 +373,7 @@ class TestNumericPayloads:
                         "--lambda", "1", "--n", "50")
         got = json.loads(out)["result"]["values"]
         want = moments.cusum_mgf_recursive(models.NormalLLR(1.0), 1.0, 50).values
-        assert got == list(want)  # 17 significant digits round-trip exactly
+        assert got == list(want)  # the shortest round-trip text parses exactly
 
     def test_threshold_ub2_closed_form(self, capsys):
         _, out, _ = run(capsys, "threshold", "--model", "normal-llr:delta=0.5",
@@ -563,9 +626,15 @@ class TestDetectSubcommand:
         ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": 5}',
          "alarms must be a list of [t, w] pairs"),
         ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (f'{{"w": 0.5, "t": {2**63}, "running_max": 0.5, "alarms": []}}',
+         f"t must be below 2**63, got {2**63}"),
+        (f'{{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[{2**63}, 5.5]]}}',
+         "alarm times must lie in [0, 2**63)"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[-1, 5.5]]}',
+         "alarm times must lie in [0, 2**63)"),
     ], ids=["not-object", "empty-object", "missing-alarms", "nan-w", "negative-w",
             "infinite-max", "negative-t", "fractional-t", "short-alarm", "alarms-number",
-            "not-json"])
+            "not-json", "t-past-int64", "alarm-past-int64", "negative-alarm"])
     def test_invalid_monitor_state_refused(self, capsys, tmp_path, text, message):
         state = tmp_path / "state.json"
         state.write_text(text)
@@ -577,6 +646,30 @@ class TestDetectSubcommand:
         assert code == 1 and out == ""
         assert err == f"error: CusumkitError: state file {state}: {message}\n"
         assert state.read_text() == text
+
+    def test_monitor_time_past_int64_refused(self, capsys, monkeypatch, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(f'{{"w": 0.5, "t": {2**63 - 2}, "running_max": 0.5, "alarms": []}}')
+        before = state.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.5\n0.5\n"))
+        code, out, err = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                             "--input", "-", "--state", str(state), "--mode", "monitor",
+                             "--threshold-variant", "custom", "--h", "5")
+        assert code == 1 and out == ""
+        assert err == f"error: CusumkitError: t would reach {2**63}, past 2**63 - 1\n"
+        assert state.read_bytes() == before
+
+    def test_infinite_threshold_is_strict_json(self, capsys, monkeypatch):
+        # RFC 8259 has no NaN or Infinity: non-finite floats are written as null
+        monkeypatch.setattr("sys.stdin", io.StringIO("value\n0.5\n1.5\n"))
+        code, out, _ = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                           "--input", "-", "--mode", "monitor",
+                           "--threshold-variant", "custom", "--h", "inf")
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 0
+        assert payload["result"]["threshold"] is None
+        assert payload["config"]["h"] is None
+        assert payload["result"]["t"] == 2 and payload["result"]["all_alarms"] == []
 
     @pytest.mark.parametrize("argv, t", [
         ([], 2),
@@ -874,6 +967,7 @@ def _columns(height):
         cells(st.integers(-2**63, 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
         cells(_float),
         cells(st.integers(-10**30, 10**30)),
+        cells(st.integers(-2**63, 2**64 - 1)),
         cells(_object),
         cells(st.one_of(_float, st.none())),
     )
@@ -885,21 +979,71 @@ def _tables(draw):
     return [draw(_columns(height)) for _ in range(draw(st.integers(1, 4)))]
 
 
+def _emitted(result):
+    """``result`` as the JSON writer writes it, parsed strictly."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(format="json", output="-"), result)
+    return json.loads(out.getvalue(), parse_constant=_refuse_constant)["result"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def _parsed(v):
+    """What a cell reads as after the JSON writer: the same double, None
+    for a non-finite one, and the same int."""
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    return v
+
+
+def _same_cells(got, want):
+    """Equal lists whose floats are equal bit for bit and ints are ints."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w), (g, w)
+        if isinstance(w, float):
+            assert g.hex() == w.hex(), (g, w)
+        else:
+            assert g == w, (g, w)
+
+
+def _ints_writable(cells) -> bool:
+    return all(-2**63 <= v < 2**64 for v in cells
+               if isinstance(v, (int, np.integer)) and not isinstance(v, bool))
+
+
 class TestTableWriter:
-    """The table writer gives the bytes of the per-value reference writers."""
+    """CSV has the bytes of the per-value reference writer; JSON parses to
+    the cells' values."""
 
     @given(columns=_tables())
     def test_matches_reference(self, columns):
         rows = [list(row) for row in zip(*columns)]
-        assert cli._json_fragment(cli.Table(*columns)) == json_fragment(rows)
-        assert cli._rows(columns, "csv") == csv_rows(rows)
-        assert cli._json_fragment(columns[0]) == json_fragment(columns[0])
-        assert cli._json_fragment({"t": cli.Table.of_rows(rows, len(columns))}) == (
-            json_fragment({"t": rows}))
+        assert cli._rows(columns) == csv_rows(rows)
+        result = {"table": cli.Table(*columns), "column": columns[0],
+                  "of_rows": cli.Table.of_rows(rows, len(columns))}
+        if not _ints_writable(v for col in columns for v in col):
+            with pytest.raises(CusumkitError, match="Integer exceeds 64-bit range"):
+                _emitted(result)
+            return
+        got = _emitted(result)
+        for name in ("table", "of_rows"):
+            assert len(got[name]) == len(rows)
+            for g, row in zip(got[name], rows):
+                _same_cells(g, [_parsed(v) for v in row])
+        _same_cells(got["column"], [_parsed(v) for v in columns[0]])
 
     def test_rows_of_unequal_length_refused(self):
+        columns = (np.arange(3), np.zeros(2))
         with pytest.raises(ValueError):
-            cli._rows((np.arange(3), np.zeros(2)), "json")
+            cli._rows(columns)
+        with pytest.raises(ValueError):
+            cli._json_default(cli.Table(*columns))
 
 
 def _detect_data() -> str:
@@ -912,8 +1056,18 @@ def _detect_data() -> str:
 _DETECT = ["detect", "--theta0", "0", "--theta1", "1", "--input", "-", "--emit-path"]
 
 
+def _digest(argv, out: str) -> str:
+    """The digest of standard output as the per-value writer printed it:
+    CSV as written, and JSON parsed and written again by json_fragment,
+    floats at 17 significant digits, so the digest checks every double."""
+    if "csv" not in argv:
+        out = json_fragment(json.loads(out, parse_constant=_refuse_constant)) + "\n"
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 class TestGoldenOutput:
-    """Standard output is byte-identical to the per-value writer's.
+    """Standard output holds the doubles of the per-value writer's output,
+    and CSV its bytes.
 
     Digests were recorded with the per-value writer (tests/_oracles.py's
     json_fragment and csv_cell), numpy 2.4.6 and scipy 1.17.1; the detect
@@ -956,7 +1110,7 @@ class TestGoldenOutput:
         monkeypatch.setattr("sys.stdin", io.StringIO(_detect_data()))
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _digest(argv, out) == digest
 
 
 def _discrete_data() -> str:
@@ -995,7 +1149,7 @@ class TestDiscreteGoldenOutput:
         monkeypatch.setattr("sys.stdin", io.StringIO(_discrete_data()))
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _digest(argv, out) == digest
 
 
 _MGF_OUTPUTS = [
@@ -1080,7 +1234,7 @@ class TestRecursionOracleGolden:
         loop_oracles()
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _digest(argv, out) == digest
 
     @pytest.mark.parametrize("argv, data, digest", _MGF_OUTPUTS, ids=_MGF_IDS)
     def test_engine_differs_only_in_numbers(self, capsys, monkeypatch, loop_oracles,

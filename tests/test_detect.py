@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cusumkit
 from cusumkit import detect, models
-from cusumkit.errors import UnsupportedValue
+from cusumkit.errors import CusumkitError, UnsupportedValue
 
 from _oracles import brute_max_increment_span, monitor_run_loop, monitor_step_max
 
@@ -180,6 +180,18 @@ class TestMonitor:
         )
         again = detect.CusumState.from_json(state.to_json())
         assert again == state
+
+    def test_time_past_int64_refused(self):
+        # times are written as JSON integers, which hold at most 2**63 - 1
+        state = detect.CusumState(t=2**63 - 2)
+        state, _ = detect.monitor_step(state, 1.0)
+        assert state.t == 2**63 - 1
+        with pytest.raises(CusumkitError, match=r"t would reach 9223372036854775808"):
+            detect.monitor_step(state, 1.0)
+        for t, alarms in ((2**63, ()), (0, ((2**63, 1.0),))):
+            text = detect.CusumState(t=t, alarms=alarms).to_json()
+            with pytest.raises(CusumkitError):
+                detect.CusumState.from_json(text)
 
     def test_multi_change_alarms_accumulate(self):
         state = detect.CusumState()
