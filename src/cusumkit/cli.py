@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import orjson
@@ -142,7 +141,9 @@ def _emit(args, result, csv_header=None, csv_rows=None) -> None:
     else:
         if csv_header is None:
             raise CusumkitError("this subcommand has no CSV form")
-        text = ("# config: " + json.dumps(config, default=str) + "\n"
+        strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in config.items()}  # RFC 8259 has no nan or inf
+        text = ("# config: " + json.dumps(strict, default=str) + "\n"
                 + ",".join(csv_header) + "\n" + _rows(csv_rows.columns))
     if args.output == "-":
         sys.stdout.write(text)
@@ -299,58 +300,117 @@ def _build_pair(args):
     return detect.DiscretePair(support=f[1], f=f[2], g=g[2])
 
 
-# one decoder for every JSONL read; huge ints become inf
+# the per-line pass's decoder, which also words its errors; huge ints become inf
 _JSONL = json.JSONDecoder(parse_int=float)
 
 
-# line breaks of str.splitlines that numpy's tokenizer reads inside a cell,
-# so that "1,\x0c2" would lose the 2.  A text holding one of them, a "\r"
-# (open() translates it in a file; on stdin one in the header line would
-# shift skiprows) or a non-ASCII character goes to the per-line pass.
+# line breaks of str.splitlines other than "\n".  The CSV fast path cuts
+# lines at "\n" alone, so a text holding one of them, a "\r" (open()
+# translates it in a file, stdin may not) or a non-ASCII character goes to
+# the per-line pass.
 _CELL_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+_CSV_CHUNK = 1 << 18  # characters per orjson.loads of a CSV column
+_REST_OF_LINE = re.compile(",[^\n]*")
+_JSONL_START = re.compile(r"\s*\{")  # \s is the whitespace of str.strip
+_NEG_ZERO = re.compile(r"-0(?![.eE\d])")  # an integer -0, which orjson reads as 0
+_NUMBER_TYPES = frozenset((float, int))
 
 
 def _read_values(path: str, field: str) -> np.ndarray:
     """One value per non-blank line: the first comma field of a CSV row
     (after an optional header row), or ``field`` of a JSONL record.
 
-    A CSV file of ASCII text goes through numpy's C tokenizer.  Whenever
-    the tokenizer raises or warns, or a value is nan or inf, the text goes
-    through ``_parse_lines``, the per-line pass, which gives the same values
-    or names the bad line.
+    orjson parses the numbers (``_read_fast``), a CSV column a chunk of
+    lines at a time and a JSONL file a record at a time.  A text it refuses
+    or that holds a nan or inf goes through ``_parse_lines``, the per-line
+    pass, which gives the same values or names the bad line.
     """
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    if text.isascii() and "\r" not in text and not any(c in text for c in _CELL_BREAKS):
-        skip = _csv_head(text)
-        if skip is not None:
-            # numpy opens a path again: only a regular file reads the same
-            # twice (a pipe would wait for a writer that has gone), and a
-            # relative path could parse as a URL that numpy would fetch
-            if path != "-" and os.path.isfile(path):
-                source = os.path.abspath(path)
-            else:
-                source = io.StringIO(text)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    out = np.loadtxt(source, delimiter=",", usecols=0, comments=None,
-                                     skiprows=skip, ndmin=1)
-            except Exception:  # a bad cell, no data, or a name numpy opens as an archive
-                out = None
-            if out is not None and np.isfinite(out).all():
-                return out
+    try:
+        out = _read_fast(text, field)
+    except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
+        out = None
+    if out is not None and np.isfinite(out).all():
+        return out
     return _parse_lines(text, field)
 
 
+def _read_fast(text: str, field: str) -> np.ndarray | None:
+    """The values of ``_parse_lines`` read by orjson, or None when it does
+    not apply.  JSON numbers are a subset of what ``float`` reads, with the
+    same correctly rounded value, except the integer -0 (refused); any
+    other element than a number raises."""
+    if _JSONL_START.match(text):
+        vals = []
+        for ln in text.splitlines():
+            try:
+                vals.append(orjson.loads(ln)[field])
+            except orjson.JSONDecodeError:
+                if ln.strip():
+                    raise
+        return np.array(_only_numbers(vals, text), dtype=float)
+    if not text.isascii() or "\r" in text or any(c in text for c in _CELL_BREAKS):
+        return None
+    pos = _csv_head(text)
+    if pos is None:
+        return None
+    out = np.empty(text.count("\n", pos) + 1)
+    n = 0
+    stop = len(text) - text.endswith("\n")  # the last line break ends no line
+    while pos < stop:
+        end = text.find("\n", pos + _CSV_CHUNK, stop)
+        if end < 0:
+            end = stop
+        vals = _first_cells(text[pos:end])
+        out[n:n + len(vals)] = vals
+        n += len(vals)
+        pos = end + 1
+    return out[:n]
+
+
+def _first_cells(lines: str) -> list:
+    """The first comma cells of the non-blank ``lines``, one orjson parse."""
+    try:
+        return _json_column(lines)
+    except orjson.JSONDecodeError:  # maybe a blank line; drop them and retry
+        kept = "\n".join(filter(str.strip, lines.split("\n")))
+        if len(kept) == len(lines):
+            raise
+        return _json_column(kept)
+
+
+def _json_column(lines: str) -> list:
+    """The first comma cells of ``lines`` as the elements of one JSON array.
+    A blank line or an empty first cell leaves an empty element, which
+    orjson refuses, unless it is the only one: then the array is empty."""
+    commas = "," in lines
+    cells = _REST_OF_LINE.sub("", lines) if commas else lines
+    vals = orjson.loads("[" + cells.replace("\n", ",") + "]")
+    if not vals and commas:
+        raise ValueError("an empty first cell")
+    return _only_numbers(vals, cells)
+
+
+def _only_numbers(vals: list, text: str) -> list:
+    """``vals`` when each is a float or an int (bool is neither) and ``text``
+    writes no integer -0."""
+    types = set(map(type, vals))
+    if not types <= _NUMBER_TYPES:
+        raise TypeError("not a number")
+    if int in types and _NEG_ZERO.search(text):
+        raise ValueError("an integer -0")
+    return vals
+
+
 def _csv_head(text: str) -> int | None:
-    """How many lines precede the first CSV data row: the blank lines and a
-    header row, sniffed as ``_parse_lines`` does.  None for a text without a
-    non-blank line or whose first one opens a JSON record."""
-    pos = i = 0
+    """Where the first CSV data row starts: after the blank lines and a
+    header row, sniffed as ``_parse_lines`` does.  None for a text without
+    a non-blank line."""
+    pos = 0
     while True:
         end = text.find("\n", pos)
         line = text[pos:] if end < 0 else text[pos:end]
@@ -358,14 +418,12 @@ def _csv_head(text: str) -> int | None:
             break
         if end < 0:
             return None
-        pos, i = end + 1, i + 1
-    if line.lstrip().startswith("{"):
-        return None
+        pos = end + 1
     try:
         float(line.split(",")[0])
     except ValueError:
-        return i + 1  # a header row
-    return i
+        return len(text) if end < 0 else end + 1  # a header row
+    return pos
 
 
 def _parse_lines(text: str, field: str) -> np.ndarray:
@@ -414,25 +472,19 @@ def _read_csv(rows: list[str], first: int, commas: bool) -> np.ndarray:
 
 
 def _read_jsonl(lines: list[str], field: str) -> np.ndarray:
-    """``field`` of the record on each non-blank line.  The C scanner reads a
-    line that is exactly one record; any other line is skipped when blank,
-    or else decoded, which supplies the error text for a bad one."""
-    scan, decode = _JSONL.scan_once, _JSONL.decode
+    """``field`` of the record on each non-blank line; the first line that
+    is not such a record is named, with the decoder's text for a syntax
+    error."""
     vals = []
     blanks = 0
     for ln in lines:
+        if not ln.strip():
+            blanks += 1
+            continue
         try:
-            record, end = scan(ln, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(ln):
-            if not ln.strip():
-                blanks += 1
-                continue
-            try:
-                record = decode(ln)
-            except (ValueError, RecursionError) as exc:
-                raise CusumkitError(f"line {len(vals) + blanks + 1}: {exc}") from None
+            record = _JSONL.decode(ln)
+        except (ValueError, RecursionError) as exc:
+            raise CusumkitError(f"line {len(vals) + blanks + 1}: {exc}") from None
         value = record.get(field) if type(record) is dict else None
         if type(value) is not float:
             raise CusumkitError(
@@ -609,14 +661,18 @@ def _cmd_figures(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+_DIGITS = re.compile(r"\s*([+-]?)\d+\s*")
+
+
 def _integer_in(minimum: int, maximum: int = _INT64_MAX):
     """An argparse type for integers in [minimum, maximum]; others exit 2
     naming the flag."""
     def parse(text: str) -> int:
         try:
             n = int(text)
-        except ValueError:
-            n = minimum - 1
+        except ValueError:  # int() also refuses over 4 300 digits: out of range
+            digits = _DIGITS.fullmatch(text)
+            n = minimum - 1 if digits is None or digits[1] == "-" else maximum + 1
         if n < minimum:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {minimum}, got {text!r}")

@@ -134,8 +134,10 @@ class TestHorizons:
         (["simulate", "--model", "normal-llr:delta=1", "--n", "-1", "--reps", "10"],
          "--n", "-1"),
         (["figures", "--which", "1", "--n", "-2"], "--n", "-2"),
+        (["moments", "--model", "normal-llr:delta=1", "--n", "-" + "1" * 5000],
+         "--n", "-" + "1" * 5000),
     ], ids=["queue-bound", "mgf", "threshold", "figures-ns", "moments", "simulate",
-            "figures-n"])
+            "figures-n", "moments-5000-digits"])
     def test_negative_horizon_refused(self, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -184,8 +186,11 @@ class TestHorizons:
           "--reps", str(2**64)], "--reps", str(2**64)),
         (["simulate", "--model", "normal-llr:delta=1", "--n", "10", "--reps", "100",
           "--parallel", str(2**63)], "--parallel", str(2**63)),
+        # past the 4 300 digits int() reads
+        (["moments", "--model", "normal-llr:delta=1", "--n", "1" * 5000], "--n", "1" * 5000),
+        (["figures", "--which", "4", "--ns", "+" + "1" * 5000], "--ns", "+" + "1" * 5000),
     ], ids=["queue-bound-n", "figures-ns", "threshold-mc-reps", "simulate-reps",
-            "simulate-parallel"])
+            "simulate-parallel", "moments-n-5000-digits", "figures-ns-5000-digits"])
     def test_count_past_int64_refused(self, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -671,6 +676,16 @@ class TestDetectSubcommand:
         assert payload["config"]["h"] is None
         assert payload["result"]["t"] == 2 and payload["result"]["all_alarms"] == []
 
+    def test_infinite_threshold_config_line_is_strict_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("value\n0.5\n1.5\n"))
+        code, out, _ = run(capsys, "detect", "--theta0", "0", "--theta1", "1",
+                           "--input", "-", "--mode", "monitor", "--format", "csv",
+                           "--threshold-variant", "custom", "--h", "inf")
+        first = out.splitlines()[0]
+        assert code == 0 and first.startswith("# config: ")
+        config = json.loads(first[len("# config: "):], parse_constant=_refuse_constant)
+        assert config["h"] is None and config["theta1"] == 1.0
+
     @pytest.mark.parametrize("argv, t", [
         ([], 2),
         (["--mode", "monitor", "--threshold-variant", "custom", "--h", "inf"], 6),
@@ -746,8 +761,21 @@ _record = st.one_of(
                      '{"s": "a}', '{", "value": 2}']),
 )
 
+# number tokens on which a JSON parser and float() could part: signed
+# zeros, underflow, forms only float() reads, integers past 2**53 and
+# 2**64, overflow, and JSON values that are not numbers
+_token = st.one_of(
+    st.sampled_from([
+        "-0", "-0.0", "1e-400", "-1e-400", "01", "1.", ".5", "+1", "1_0", "1E5",
+        str(2**53 + 1), str(2**64 - 1), str(2**64), str(10**30), f"-{2**53 + 1}",
+        f"-{2**64 - 1}", f"-{2**64}", f"-{10**30}", "1e400", "true", "null", '"1.5"',
+        "[1]"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+)
 
-# inputs on which numpy's tokenizer and the per-line pass could part
+
+# inputs on which the CSV fast path and the per-line pass could part
 _EDGE_CSV = {
     "whitespace-line": "value\n1\n   \n2\n",
     "cr-breaks": "1\r2\r3\r",
@@ -851,6 +879,52 @@ class TestReadValues:
         data.write_bytes(newline.join(['{"value": 0.5}', *rows]).encode())
         assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @given(header=st.sampled_from(["", "value", "value,other", " t ,x"]),
+           rows=st.lists(st.one_of(_csv_row, _blank), max_size=25),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
+    def test_csv_chunks_match_per_line_reader(self, tmp_path_factory, chunk, header, rows,
+                                              newline, last):
+        # chunks of a few characters, cut at the next line break, so that
+        # cuts fall on blank lines, header rows and rows with commas
+        lines = ([header] if header else []) + rows
+        data = tmp_path_factory.mktemp("csv") / "obs.csv"
+        data.write_bytes((newline.join(lines) + (newline if last else "")).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_CHUNK", chunk)
+            assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @given(header=st.sampled_from(["", "value"]),
+           rows=st.lists(st.one_of(
+               _token, _blank, st.tuples(_token, _token).map(",".join)), max_size=12))
+    def test_number_tokens_match_per_line_reader(self, tmp_path_factory, chunk, header,
+                                                 rows):
+        folder = tmp_path_factory.mktemp("tokens")
+        csv, jsonl = folder / "obs.csv", folder / "obs.jsonl"
+        csv.write_text("\n".join(([header] if header else []) + rows) + "\n")
+        jsonl.write_text("".join(f'{{"t": 1, "value": {r}}}\n' if r.strip() else r + "\n"
+                                 for r in ["0.5", *rows]))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(cli, "_CSV_CHUNK", chunk)
+            for data in (csv, jsonl):
+                assert _outcome(cli._read_values, data) == _outcome(read_values_per_line, data)
+
+    @pytest.mark.parametrize("name, text", [
+        ("obs.csv", "value\n1\n-0\n2\n"),
+        ("obs.csv", "-0,5\n3\n"),
+        ("obs.jsonl", '{"value": 1}\n{"value": -0}\n'),
+        ("obs.jsonl", '{"value": -0, "t": 0}\n'),
+    ], ids=["csv", "csv-comma", "jsonl", "jsonl-first"])
+    def test_integer_minus_zero_keeps_its_sign(self, tmp_path, name, text):
+        # orjson reads the integer -0 as 0; float("-0") is -0.0
+        data = tmp_path / name
+        data.write_text(text)
+        got = cli._read_values(str(data), "value")
+        assert got.tobytes() == read_values_per_line(data, "value").tobytes()
+        assert np.signbit(got).sum() == 1
+
     @pytest.mark.parametrize("text", _EDGE_CSV.values(), ids=_EDGE_CSV.keys())
     def test_edge_corpus_matches_per_line_reader(self, tmp_path, monkeypatch, text):
         # numpy's tokenizer reads these as the per-line pass does or raises;
@@ -873,6 +947,22 @@ class TestReadValues:
                              ids=["header", "header-after-blanks", "extra-columns", "crlf"])
     def test_clean_csv_skips_the_per_line_pass(self, tmp_path, monkeypatch, text):
         data = tmp_path / "obs.csv"
+        data.write_bytes(text.encode())
+        want = read_values_per_line(data, "value")
+
+        def refuse(*args):
+            raise AssertionError("per-line pass called")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        '{"t": 0, "value": 0.5}\n{"t": 1, "value": -1.25}\n',
+        '\n  {"value": 2}\n\n{"value": 1e3, "s": "x,y"}\n  \n',
+        '{"value": -0.0}\r\n{"value": 12345678901234567890}\r\n',
+    ], ids=["records", "blank-lines", "crlf-ints"])
+    def test_clean_jsonl_skips_the_per_line_pass(self, tmp_path, monkeypatch, text):
+        data = tmp_path / "obs.jsonl"
         data.write_bytes(text.encode())
         want = read_values_per_line(data, "value")
 
