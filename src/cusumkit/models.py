@@ -7,14 +7,14 @@ m(lambda*) = 1, the Cramer rate function I(x), the moments of rectified
 partial sums S_n+ = max(S_n, 0), and the total-variation discrepancy of
 log-likelihood-ratio increments.
 
-Finite supports take their rectified sums E f(S_k), k = 1..n, from one
-engine, _sum_law_means.  On a dense lattice it works in blocks of
-b = _BLOCK_WIDTH // (span + 1) steps (see _block_steps): per weight f, a
-correlation of the pmf of S_k0 with f gives the terms every S_k0+j of the
-block needs, a small matvec with the pmfs of S_1..S_b finishes them, and
-one convolution moves the pmf on by b steps.  The per-step loops it
-replaced are the test oracles rectified_exp_seq_loop and
-rectified_moment_seq_loop (tests/_oracles.py).
+Finite supports take their rectified sums E f(S_k), k = 1..n, from one engine,
+_sum_law_means.  On a dense lattice it works in blocks of b = _BLOCK_WIDTH //
+(span + 1) steps (see _block_steps): per weight f, a correlation of the pmf of
+S_k0 with f gives the terms every S_k0+j of the block needs, a small matvec
+with the pmfs of S_1..S_b finishes them, and one convolution moves the pmf on
+by b steps.  Its weights are bounded: x_k = m(lam)^k + E(1 - exp(lam S_k))+
+for lam >= 0.  The per-step loops it replaced are the test oracles
+rectified_exp_seq_loop and rectified_moment_seq_loop (tests/_oracles.py).
 
 Conventions: normal kinds are parameterized by (mean, standard deviation),
 not variance.  NormalLLR(delta) is Y ~ Normal(-delta^2/2, delta), the
@@ -24,7 +24,8 @@ log-likelihood-ratio increment for a standardized mean shift of size delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -76,9 +77,6 @@ _QUANTILE_SLICE = 1 << 16
 # take at most 51
 _MAX_EVALS = 100
 _MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
-# up to exp(600), masses too small for float64 (or pruned below 1e-300)
-# weigh less than 1e-39 each in E exp(lam * S_k+)
-_SAFE_EXPO = 600.0
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -227,7 +225,7 @@ class IncrementModel:
     # -- rectified partial sums ------------------------------------------
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
-        """Array of x_k = E exp(lam * S_k+) for k = 1..n."""
+        """Array of x_k = E exp(lam * S_k+), k = 1..n; ValueError for a NaN or inf lam."""
         raise NotImplementedError
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,16 +261,25 @@ class IncrementModel:
         raise NotImplementedError
 
 
+def _check_mgf_args(lam: float, n: int) -> None:
+    if math.isnan(lam):
+        raise ValueError(f"lambda must be a number, got {lam:g}")
+    if math.isinf(lam):
+        raise ValueError(f"lambda must be finite, got {lam:g}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def _newton_root(f, fprime, lo: float, hi: float) -> float:
     """The root of an increasing f in [lo, hi], f(lo) <= 0 <= f(hi).
 
     Each step moves one end to the Newton step from the end with the
-    smaller |f| (to the next float, if that step rounds to 0), or to the
-    midpoint when the step is not finite, leaves the bracket, or the bracket
-    has not halved in two steps.  The end with the smaller |f| is returned
-    at an exact zero or once no float lies between the ends.  NaN values,
-    ends of one sign and _MAX_EVALS values of f short of that raise
-    NoConvergence.
+    smaller |f| (to the next float, if that step rounds to 0), or bisects,
+    at sqrt(lo hi) if 0 < 4 lo < hi, when the step is not finite, leaves
+    the bracket, or the bracket has not halved in two steps.  The end with
+    the smaller |f| is returned at an exact zero or once no float lies
+    between the ends.  NaN values, ends of one sign and _MAX_EVALS values
+    of f short of that raise NoConvergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is +-inf
         flo, fhi = float(f(lo)), float(f(hi))
@@ -287,7 +294,7 @@ def _newton_root(f, fprime, lo: float, hi: float) -> float:
             if t == x:
                 t = math.nextafter(x, far)
             if not (lo < t < hi and hi - lo <= 0.5 * widths[-2]):
-                t = 0.5 * (lo + hi)
+                t = math.sqrt(lo) * math.sqrt(hi) if 0 < 4 * lo < hi else 0.5 * (lo + hi)
             widths.append(hi - lo)
             ft = float(f(t))
             if ft < 0.0:
@@ -363,6 +370,7 @@ class _NormalBase(IncrementModel):
         return k * self.loc, np.sqrt(k) * self.scale
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
+        _check_mgf_args(lam, n)
         mu, sd = self._sum_params(n)
         expo = lam * mu + 0.5 * (lam * sd) ** 2
         if np.any(expo > _MAX_EXPO):
@@ -503,14 +511,24 @@ class Lattice:
                 f"{max(self.hi, -self.lo) * _GRID:g} overflow the 1e-12 key grid"
             )
 
-    def tilted(self, lam: float) -> tuple[Lattice, float]:
-        """The step law tilted by lam, p e^(lam y) / m(lam), and log m(lam),
-        with y = key * _GRID as in the sum laws."""
-        logw = np.log(self.probs) + lam * (self.keys * _GRID)
-        top = logw.max()
-        w = np.exp(logw - top)
-        total = w.sum()
-        return replace(self, probs=w / total), float(top + math.log(total))
+    def mgf_powers(self, lam: float, n: int) -> np.ndarray:
+        """m(lam)^k, k = 1..n, m(lam) = sum p e^(lam y) with y = key * _GRID:
+        m, summed in 25-digit decimals, is m_hi (1 + r), m_hi a double and
+        |r| <= eps / 2, and np.power(m_hi, k) exp(k r) is within about an ulp
+        (np.power of m_hi alone errs by up to k eps / 2).  DivergentMoment
+        from the first k with k log m > _MAX_EXPO."""
+        with localcontext(Context(prec=25, traps=[])):
+            m = sum(Decimal(p) * (Decimal(lam) * Decimal(y)).exp()
+                    for p, y in zip(self.probs.tolist(), (self.keys * _GRID).tolist()))
+            m_hi = float(m)
+            # r is 0 where m_hi is subnormal or 0 (m^k ~ 0) or inf (refused)
+            r = float(m / Decimal(m_hi) - 1) if 2.0**-1022 <= m_hi < math.inf else 0.0
+        k = np.arange(1, n + 1)
+        over = k * math.log(max(m_hi, 1.0)) > _MAX_EXPO
+        if over.any():
+            raise DivergentMoment(f"E exp(lam * S_{over.argmax() + 1}+) overflows "
+                                  f"at lam = {lam:g}")
+        return np.power(m_hi, k) * np.exp(k * r)
 
 
 def _merge_atoms(keys: tuple[np.ndarray, ...], mass: np.ndarray):
@@ -586,9 +604,10 @@ def _dense_sum_laws(lat: Lattice, n: int):
 def _sum_law_means(lat: Lattice, n: int, weights) -> np.ndarray:
     """E f(S_k) for k = 1..n, one row per function f in weights.
 
-    Each f maps an array of values to their weights.  Dense lattices (see
-    _dense) run the blocked engine; wider ones take one dot product per
-    step with the sparse laws.
+    Each f maps an array of values to their weights, which must be bounded
+    (one that overflows where P(S_k = v) underflows gives NaN).  Dense
+    lattices (see _dense) run the blocked engine; wider ones take one dot
+    product per step with the sparse laws.
     """
     if _dense(lat, n):
         return _dense_sum_law_means(lat, n, weights)
@@ -930,24 +949,13 @@ class _DiscreteBase(IncrementModel):
         yield from _sum_laws(self.lattice(), n)
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
+        _check_mgf_args(lam, n)
         lat = self.lattice()
-        if lam * max(lat.hi, 0) * _GRID * n <= _SAFE_EXPO:
+        if lam < 0.0:  # the weight e^(lam v+) lies in (0, 1]
             return _sum_law_means(lat, n, [lambda v: np.exp(lam * np.maximum(v, 0.0))])[0]
-        # Larger lam * S_k: x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0), where
-        # Q is the law of S_k under steps tilted by lam.  exp(lam * S_k) is
-        # never formed: where it overflows, the masses it would weigh
-        # underflow, while Q keeps those atoms at the size they contribute.
-        tilted, log_m = lat.tilted(lam)
-        below = _sum_law_means(lat, n, [lambda v: (v <= 0.0).astype(float)])[0]
-        above = _sum_law_means(tilted, n, [lambda v: (v > 0.0).astype(float)])[0]
-        with np.errstate(divide="ignore"):  # Q(S_k > 0) = 0 adds nothing
-            expo = np.arange(1, n + 1) * log_m + np.log(above)
-        over = expo > _MAX_EXPO
-        if over.any():
-            raise DivergentMoment(
-                f"E exp(lam * S_{over.argmax() + 1}+) overflows at lam = {lam:g}"
-            )
-        return below + np.exp(expo)
+        # e^(lam S+) = e^(lam S) + (1 - e^(lam S))+, whose weight lies in [0, 1)
+        below = _sum_law_means(lat, n, [lambda v: -np.expm1(lam * np.minimum(v, 0.0))])[0]
+        return below + lat.mgf_powers(lam, n)
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         m1, m2 = _sum_law_means(self.lattice(), n, [

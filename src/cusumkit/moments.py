@@ -33,7 +33,7 @@ from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DivergentMoment, FormulaMismatch, NoConvergence
-from .models import IncrementModel, cached_lambda_star
+from .models import IncrementModel, _check_mgf_args, cached_lambda_star
 
 __all__ = [
     "MomentTable",
@@ -226,15 +226,6 @@ def moment_table(model: IncrementModel, n: int) -> MomentTable:
         variances=variances,
         recursion_gap=gap,
     )
-
-
-def _check_mgf_args(lam: float, n: int) -> None:
-    if math.isnan(lam):
-        raise ValueError(f"lambda must be a number, got {lam:g}")
-    if math.isinf(lam):
-        raise ValueError(f"lambda must be finite, got {lam:g}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
 
 
 def cusum_mgf_recursive(model: IncrementModel, lam: float, n: int) -> MgfSeries:

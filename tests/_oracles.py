@@ -182,29 +182,56 @@ def cusum_variance_direct(model, n):
     return out, gap
 
 
+# lambda * max S_n up to which rectified_exp_seq_loop sums exp(lam * S_k+)
+# directly: masses too small for float64 (or pruned below 1e-300) weigh
+# less than 1e-39 each there
+_LOOP_DIRECT_EXPO = 600.0
+
+
+def tilted_lattice(lat, lam):
+    """The step law of a lattice tilted by lam, p e^(lam y) / m(lam) with y =
+    key * _GRID, its probabilities each rounded once from 40-digit sums,
+    and ln m(lam) as a 40-digit Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        lam = decimal.Decimal(lam)
+        terms = [decimal.Decimal(p) * (lam * decimal.Decimal(y)).exp()
+                 for p, y in zip(lat.probs.tolist(), (lat.keys * models._GRID).tolist())]
+        total = sum(terms)
+        probs = np.array([float(t / total) for t in terms])
+        return dataclasses.replace(lat, probs=probs), total.ln()
+
+
 def rectified_exp_seq_loop(model, lam, n):
     """x_k = E exp(lam * S_k+) of a finite-support model, k = 1..n, with one
-    exp and one dot product per step over the laws of sum_distributions."""
+    exp and one dot product per step over the laws of sum_distributions.
+
+    Past lambda * max S_n = 600, x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0),
+    Q the law of S_k under steps tilted by lam: k ln m(lam) + ln Q(S_k > 0)
+    and the sum are formed in 40-digit decimals and rounded once.  There,
+    as in the engine, x_k >= m(lam)^k is refused with DivergentMoment from
+    the first k with k ln m(lam) > _MAX_EXPO; below it k ln m(lam) <= 600.
+    """
     lat = model.lattice()
     out = np.empty(n)
-    if lam * max(lat.hi, 0) * models._GRID * n <= models._SAFE_EXPO:
+    if lam * max(lat.hi, 0) * models._GRID * n <= _LOOP_DIRECT_EXPO:
         for k, (vals, probs) in enumerate(model.sum_distributions(n)):
             out[k] = np.dot(np.exp(lam * np.maximum(vals, 0.0)), probs)
         return out
-    # x_k = P(S_k <= 0) + m(lam)^k Q(S_k > 0), Q the law under tilted steps
-    tilted, log_m = lat.tilted(lam)
+    tilted, log_m = tilted_lattice(lat, lam)
     laws = zip(model.sum_distributions(n), models._sum_laws(tilted, n))
-    for k, ((vals, probs), (tvals, tprobs)) in enumerate(laws, start=1):
-        x = float(probs[: vals.searchsorted(0.0, "right")].sum())
-        above = tprobs[tvals.searchsorted(0.0, "right") :].sum()
-        if above > 0.0:
-            expo = k * log_m + math.log(above)
-            if expo > models._MAX_EXPO:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for k, ((vals, probs), (tvals, tprobs)) in enumerate(laws, start=1):
+            if k * log_m > decimal.Decimal(models._MAX_EXPO):
                 raise DivergentMoment(
                     f"E exp(lam * S_{k}+) overflows at lam = {lam:g}"
                 )
-            x += math.exp(expo)
-        out[k - 1] = x
+            x = decimal.Decimal(float(probs[: vals.searchsorted(0.0, "right")].sum()))
+            above = float(tprobs[tvals.searchsorted(0.0, "right") :].sum())
+            if above > 0.0:
+                x += (k * log_m + decimal.Decimal(above).ln()).exp()
+            out[k - 1] = float(x)
     return out
 
 

@@ -1164,10 +1164,13 @@ class TestGoldenOutput:
     data come on standard input, so the echoed configuration holds no path.
     fig1, fig3 and mgf-recursive print M_n to 17 digits and were recorded
     again for the blocked convolution engine, mgf-matrix for the blocked
-    sum-law engine and again for the panel solve of the matrix route, and
-    fig2 and moments, which print Var W_n to 17 digits, for the FFT cross
-    sum of the variance; TestRecursionOracleGolden keeps the digests of the
-    loops, the dense solve and the direct self-convolution they replaced.
+    sum-law engine, again for the panel solve of the matrix route and
+    again for the one-pass x_k = m(lambda)^k + E(1 - e^(lambda S_k))+ of
+    version 0.5.0, which moves its Bernoulli M_n at lambda = 0.7 by up to
+    6.7e-16 relative, and fig2 and moments, which print Var W_n to 17
+    digits, for the FFT cross sum of the variance; TestRecursionOracleGolden
+    keeps the digests of the loops, the dense solve and the direct
+    self-convolution they replaced.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -1177,7 +1180,7 @@ class TestGoldenOutput:
         (["moments", "--model", "normal-llr:delta=0.5", "--n", "200"], "17d9df0bc738388c75e4488ab8f57108e49f5ea005bbd5efeda7362c747ff496"),
         (["mgf", "--model", "normal-llr:delta=1", "--lambda", "star", "--n", "200"], "c06cd4d2770a1fcc8c21979bc032fc4c5ae50f3aff51e2e7bd409a36907229cb"),
         (["mgf", "--model", "bernoulli-pm:p=0.3", "--lambda", "0.7", "--n", "200",
-          "--method", "matrix"], "bfd972fb452815fc6a318c9bef86941b125350949e1d840310913986e08e7141"),
+          "--method", "matrix"], "2a9564bcfb47fd0ddff14b8614e67c4df1c5fa2a228d766427413353f50f18dd"),
         (_DETECT, "a37af0e13c008188b85c6bf15c280ffff4ae0869a20dcbd2c062df3397be0f13"),
         (_DETECT + ["--mode", "monitor", "--threshold-variant", "custom", "--h", "3"], "f994076aa07cef0a3b386f5021dc5a8929b06aa67f088e92e190fba6a7ff3680"),
         (["figures", "--which", "1", "--n", "200", "--format", "csv"], "0b3ca73be2404669c9ccbd1a92094278d40e1da30e4770a58b902d1cb0ad36c2"),

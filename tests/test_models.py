@@ -250,6 +250,21 @@ class TestNewtonRoot:
         else:
             assert abs(x - root) <= 2.0 * math.ulp(root)
 
+    def test_wide_flat_bracket(self):
+        # the expm1 sum of a table whose mean is 0 up to rounding changes
+        # sign near 5.2e-15, where rounding leaves it flat and noisy, so the
+        # search bisects; at the midpoint of [3.55e-15, 1] it used up its
+        # 100 values of f a few floats short of a sign change
+        model = models.DiscreteTable((0.03, -0.02, -0.01), (1 / 3, 1 / 3, 1 / 3))
+        f = model._expm1_sum
+        calls = []
+        x = models._newton_root(_counted(f, calls), model.mgf_prime, 3.55e-15, 1.0)
+        assert len(calls) <= models._MAX_EVALS
+        assert 3.55e-15 < x < 1e-14
+        fx = f(x)
+        assert (fx == 0.0 or fx < 0.0 <= f(math.nextafter(x, math.inf))
+                or f(math.nextafter(x, -math.inf)) <= 0.0 < fx)
+
     @pytest.mark.parametrize("f, fprime, lo, hi, message", [
         (lambda x: math.nan if 1.0 < x < 2.0 else x - 1.5, lambda x: 1.0, 0.0, 3.0,
          "f(0.0) = -1.5 and f(1.5) = nan bracket no root"),
@@ -787,6 +802,27 @@ class TestSumLawEngine:
         with pytest.raises(DivergentMoment) as got:
             model.rectified_exp_seq(3.0, 2000)
         assert str(got.value) == str(want.value)
+
+
+class TestRectifiedExpArguments:
+    """x_k of a NaN or infinite lambda is refused as the MGF routes refuse
+    it (moments._check_mgf_args), for every kind of model."""
+
+    @pytest.mark.parametrize("model", [
+        models.NormalLLR(1.0),
+        models.BernoulliPM(0.3),
+        models.DiscreteTable((-2.0, -1.0, 0.0, 1.0, 2.0), (0.25, 0.3, 0.2, 0.15, 0.1)),
+    ], ids=["normal", "bernoulli", "table5"])
+    @pytest.mark.parametrize("lam, message", [
+        (math.nan, "lambda must be a number, got nan"),
+        (math.inf, "lambda must be finite, got inf"),
+        (-math.inf, "lambda must be finite, got -inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_lambda_refused(self, model, lam, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.rectified_exp_seq(lam, 5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moments.cusum_mgf_recursive(model, lam, 5)
 
 
 class TestTiltVariance:

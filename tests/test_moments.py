@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -10,15 +11,18 @@ from scipy.special import ndtr
 from cusumkit import bounds, models, moments
 from cusumkit.errors import DivergentMoment, FormulaMismatch
 
+import _oracles
 from _oracles import (
     convolution_recursion_loop,
     cusum_mgf_matrix_dense,
     cusum_variance_direct,
     mgf_partitions,
     path_mean_var_mgf,
+    rectified_exp_seq_loop,
 )
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
+EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -248,17 +252,59 @@ class TestLatticeOverflow:
         assert upper[-1] <= n + 1.0
 
     def test_critical_moments_match_binomial_closed_form(self):
-        # S_k = 2 Bin(k, p) - k, and under the tilt by lambda* the step is
-        # +1 with probability p e^lambda* = 1 - p, so
-        # x_k = P(Bin(k, p) <= k/2) + P(Bin(k, 1 - p) > k/2)
+        # S_k = 2 Bin(k, p) - k, and under the tilt by lambda the step is +1
+        # with probability p' = p e^lambda / m(lambda), so
+        # x_k = P(Bin(k, p) <= k/2) + m(lambda)^k P(Bin(k, p') > k/2); at
+        # lambda* m = 1 and p' = 1 - p
         from scipy.stats import binom
 
         p, n = 0.27, 2000
         model = models.BernoulliPM(p)
-        xs = model.rectified_exp_seq(models.cached_lambda_star(model), n)
         k = np.arange(1, n + 1)
-        want = binom.cdf(k // 2, k, p) + binom.sf(k // 2, k, 1.0 - p)
-        np.testing.assert_allclose(xs, want, rtol=1e-12)
+        lam_star = models.cached_lambda_star(model)
+        for lam in (lam_star, 1.5 * lam_star):
+            xs = model.rectified_exp_seq(lam, n)
+            m = model.mgf(lam)
+            tilted_p = p * math.exp(lam) / m
+            if lam == lam_star:
+                assert tilted_p == pytest.approx(1.0 - p, rel=1e-15)
+            want = binom.cdf(k // 2, k, p) + m**k * binom.sf(k // 2, k, tilted_p)
+            np.testing.assert_allclose(xs, want, rtol=1e-12)
+            # x_1 = E e^(lambda Y) + E(1 - e^(lambda Y))+
+            assert xs[0] == pytest.approx(m + model.one_minus_exp_pos_mean(lam),
+                                          rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("spec, lam, n", [
+        ("bernoulli-pm:p=0.3", -0.7, 64),
+        ("table:y=-2.5;0.5,p=0.5;0.5", -3.0, 64),
+        ("bernoulli-pm:p=0.27", "star", 64),
+        ("table:y=-2.5;0.5,p=0.5;0.5", "star", 64),
+        # lambda * max S_n = 599.76: the direct sum of version 0.4.0 erred
+        # by 5.3e-14 here
+        ("bernoulli-pm:p=0.375", 9.52, 63),
+        # lambda * max S_n = 768 and 713: exp(lambda * max S_n) is not a float
+        ("bernoulli-pm:p=0.2", 12.0, 64),
+        ("table:y=-0.5;2.5,p=0.5;0.5", 4.6, 62),
+    ], ids=["bernoulli-negative", "table-negative", "bernoulli-star", "table-star",
+            "bernoulli-9.52", "bernoulli-past-709", "table-past-709"])
+    def test_two_point_laws_match_exact_binomial_sums(self, spec, lam, n):
+        # x_k = sum_j C(k, j) p^j q^(k-j) exp(lam max(j b + (k - j) a, 0)) over
+        # the lattice's own atoms a < b and probabilities, in 40-digit decimals
+        model = models.parse_model(spec)
+        if lam == "star":
+            lam = models.cached_lambda_star(model)
+        lat = model.lattice()
+        (a, q), (b, p) = sorted(zip((lat.keys * models._GRID).tolist(), lat.probs.tolist()))
+        xs = model.rectified_exp_seq(lam, n)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            a, b, p, q, lam_d = map(decimal.Decimal, (a, b, p, q, lam))
+            for k in range(1, n + 1):
+                want = sum(math.comb(k, j) * p**j * q ** (k - j)
+                           * (lam_d * max(j * b + (k - j) * a, 0)).exp()
+                           for j in range(k + 1))
+                err = abs(decimal.Decimal(xs[k - 1]) / want - 1)
+                assert err <= decimal.Decimal("2e-14"), (k, err)
 
     @pytest.mark.parametrize(
         "model",
@@ -271,8 +317,13 @@ class TestLatticeOverflow:
     )
     @pytest.mark.parametrize("lam", [-0.5, 0.3, 1.5])
     def test_tilted_form_matches_direct_sum(self, model, lam, monkeypatch):
-        direct = model.rectified_exp_seq(lam, 80)
-        monkeypatch.setattr(models, "_SAFE_EXPO", -math.inf)
+        # The oracle's two routes, the direct sum and (with its cutoff at
+        # -inf) the tilted form x_k = P(S_k <= 0) + m^k Q(S_k > 0), agree,
+        # and the engine's single pass agrees with both
+        direct = rectified_exp_seq_loop(model, lam, 80)
+        monkeypatch.setattr(_oracles, "_LOOP_DIRECT_EXPO", -math.inf)
+        tilted = rectified_exp_seq_loop(model, lam, 80)
+        np.testing.assert_allclose(tilted, direct, rtol=1e-12)
         np.testing.assert_allclose(model.rectified_exp_seq(lam, 80), direct, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
