@@ -13,8 +13,9 @@ observations:
 The log-likelihood-ratio formulas are stated at lambda* = 1; for general
 negative-drift models the increments are rescaled by lambda* and the
 thresholds divided by lambda*, which extends the bounds beyond the
-change-point setting.  The lower bounds use the normal closed form and
-are only defined for NormalLLR models.
+change-point setting.  The lower bounds need the law of the segment sums
+S_k: they take the normal law that the normal kinds give (the model's
+_sum_params), and other kinds raise NotSupportedModel.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri_exp
 
 from .errors import DivergentMoment, InvalidAlpha, NotSupportedModel, UnstableQueue
-from .models import IncrementModel, NormalLLR, cached_lambda_star
+from .models import IncrementModel, cached_lambda_star
 from .moments import cusum_mgf_recursive
 
 __all__ = [
@@ -81,21 +82,18 @@ def max_tail_upper(model: IncrementModel, n: int, h: float) -> float:
 
 def max_tail_lower(model: IncrementModel, n: int, h: float, k: int) -> float:
     """Lower bound on P(max over [0, n] of W_t >= h) from n // k independent
-    length-k segments, each crossing with the normal tail probability.
+    length-k segments, each crossing with probability P(S_k >= h) under the
+    model's normal law of S_k.
 
     Valid for any segment length k in [1, n]; the tightest choice depends
-    on (h, n, delta).  Normal-specific.
+    on h, n and the model.  Models whose S_k is not normal raise
+    NotSupportedModel.
     """
     _check_threshold(h)
-    if not isinstance(model, NormalLLR):
-        raise NotSupportedModel(
-            "segment tail bounds are normal-specific; got "
-            f"{type(model).__name__}"
-        )
     if not 1 <= k <= n:
         raise ValueError(f"segment length k must lie in [1, n], got {k}")
-    delta = model.delta
-    z = (h + k * delta**2 / 2.0) / (delta * math.sqrt(k))
+    mu, sd = model._sum_params(k)
+    z = (h - mu[-1]) / sd[-1]
     return 1.0 - float(ndtr(z)) ** (n // k)
 
 
@@ -109,7 +107,7 @@ def threshold_ub(model: IncrementModel, n: int, alpha: float, variant: str) -> f
     lam_star = cached_lambda_star(model)
     if variant == "ub1":
         # M_n(lambda*) <= exp_moment_upper exactly, but not always in floats
-        # (x_k of NormalLLR(80) come out above 2); both levels are valid,
+        # (x_k of normal-llr:delta=80 come out above 2); both levels are valid,
         # so the tighter one keeps ub1 <= ub3 <= ub2
         level = min(float(cusum_mgf_recursive(model, lam_star, n).values[n]),
                     exp_moment_upper(model, n))
@@ -133,22 +131,17 @@ def lower_bound_detail(model: IncrementModel, n: int, alpha: float) -> LowerBoun
     _check_alpha(alpha)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(model, NormalLLR):
-        raise NotSupportedModel(
-            "lower-bound closed forms are normal-specific; got "
-            f"{type(model).__name__}"
-        )
-    delta = model.delta
-    # h[k - 1] = delta sqrt(k) z_s - k delta^2 / 2, the level at which each
-    # of the s = n // k segments of length k crosses with probability
-    # 1 - q, q = (1 - alpha)^(1/s).  z_s = ndtri(q) is taken as
-    # ndtri_exp(log q), which keeps its digits where q is near or at 1,
-    # once per distinct s, of which there are about 2 sqrt(n).
+    mu, sd = model._sum_params(n)  # the normal law of S_k, k = 1..n
+    # h[k - 1] = mu_k + sd_k z_s, the level at which each of the s = n // k
+    # segments of length k crosses with probability 1 - q, q = (1 -
+    # alpha)^(1/s).  z_s = ndtri(q) is taken as ndtri_exp(log q), which
+    # keeps its digits where q is near or at 1, once per distinct s, of
+    # which there are about 2 sqrt(n).
     k = np.arange(1, n + 1)
     segments, where = np.unique(n // k, return_inverse=True)
     z = ndtri_exp(math.log1p(-alpha) / segments)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        h = delta * np.sqrt(k) * z[where] - k * delta**2 / 2.0
+        h = mu + sd * z[where]
     h[np.isnan(h)] = -math.inf  # the loop's `h > best_h` never takes a NaN
     best = int(np.argmax(h))
     return LowerBoundDetail(lb1=float(h[best]), k1=best + 1, lb2=float(h[0]))
@@ -251,10 +244,11 @@ def threshold_report(
     if mc_reps < 0:
         raise ValueError(f"mc_reps must be >= 0, got {mc_reps}")
     ub = {v: threshold_ub(model, n, alpha, v) for v in _UB_VARIANTS}
-    lb1 = lb2 = None
-    if isinstance(model, NormalLLR):
+    try:
         detail = lower_bound_detail(model, n, alpha)
         lb1, lb2 = detail.lb1, detail.lb2
+    except NotSupportedModel:  # no normal law of S_k
+        lb1 = lb2 = None
     mc_q = mc_se = None
     if mc_reps > 0:
         from .simulate import mc_quantile_max

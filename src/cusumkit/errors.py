@@ -10,10 +10,6 @@ class NoPositiveRoot(CusumkitError):
     machinery (bounds, thresholds, regimes) does not apply."""
 
 
-class OutOfDomain(CusumkitError):
-    """Argument outside the open domain of the rate function."""
-
-
 class DivergentMoment(CusumkitError):
     """Requested exponential moment is infinite."""
 

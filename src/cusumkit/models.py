@@ -3,8 +3,9 @@
 An increment model describes the law of one step Y of the random walk that
 drives the CUSUM recursion W_{n+1} = max(W_n + Y_{n+1}, 0).  The model owns
 its MGF m(lambda) = E exp(lambda*Y), the critical exponent lambda* solving
-m(lambda*) = 1, the Cramer rate function I(x), the moments of rectified
-partial sums S_n+ = max(S_n, 0), and the total-variation discrepancy of
+m(lambda*) = 1, the moments of rectified partial sums S_n+ = max(S_n, 0),
+the normal law of S_n where it has one (the segment lower bounds of
+bounds.py read it), and the total-variation discrepancy of
 log-likelihood-ratio increments.
 
 Finite supports take their rectified sums E f(S_k), k = 1..n, from one engine,
@@ -29,7 +30,7 @@ from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 from . import rng
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     NoConvergence,
     NoPositiveRoot,
     NotAnLLRModel,
-    OutOfDomain,
+    NotSupportedModel,
     TooLarge,
 )
 
@@ -73,8 +74,8 @@ _SPARSE_MAX_ATOMS = 10**7
 _MAX_KEY = 2**63  # int64 keys, and every partial sum of them, stay below this
 # draws per slice of the finite-support inverse CDF
 _QUANTILE_SLICE = 1 << 16
-# values of f one root search may take; the searches of the test suite
-# take at most 51
+# values of f one root search may take; the test suite's lambda* searches
+# take at most 52 (51 to 55 in random hypothesis runs), its own functions 69
 _MAX_EVALS = 100
 _MAX_EXPO = 700.0  # exp() of larger exponents is near the float64 limit
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -181,48 +182,19 @@ class IncrementModel:
         bound that value must keep."""
         return "|m(lambda*) - 1|", abs(self.mgf(root) - 1.0), _ROOT_TOL
 
-    def _lambda_star_impl(self, f=None) -> float:
-        """The root of f(lambda) = m(lambda) - 1, or of another form of it."""
-        if f is None:
-            f = lambda t: self.mgf(t) - 1.0  # noqa: E731
-        # Bracket: m is convex with m(0) = 1, m'(0) < 0 and m -> inf, so
-        # the root is the unique positive point where m crosses 1 upward.
-        hi = 1.0
-        while f(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e6:  # pragma: no cover - unreachable for valid models
-                raise NoPositiveRoot("failed to bracket the root of m(lambda)=1")
-        # keep lo strictly positive: m(0) = 1 is the trivial root
-        lo = hi / 2.0
-        while f(lo) >= 0.0:
-            lo /= 2.0
-            if lo == 0.0:  # a mean that is negative by rounding only
-                raise NoPositiveRoot(
-                    f"m(lambda) >= 1 down to the smallest lambda > 0 although "
-                    f"mean(Y) = {self.mean():g}: the mean is 0 up to rounding"
-                )
-        return _newton_root(f, self.mgf_prime, lo, hi)
-
-    # -- rate function ---------------------------------------------------
-
-    def rate_domain(self) -> tuple[float, float]:
-        """Open interval (EY, A0) on which the rate function is defined."""
+    def _lambda_star_impl(self) -> float:
+        """The positive root of m(lambda) = 1, or of the form of it that
+        _root_residual names, given mean(Y) < 0 < P(Y > 0)."""
         raise NotImplementedError
 
-    def tilt_var(self, lam: float) -> float:
-        """Variance of Y under the exponential tilt by lam, which is the
-        derivative of the tilted mean m'(lam)/m(lam)."""
-        raise NotImplementedError
+    # -- partial sums -----------------------------------------------------
 
-    def rate_function(self, x: float) -> tuple[float, float]:
-        """Cramer rate function I(x) and its maximizer lambda(x).
-
-        lambda(x) solves m'(lam)/m(lam) = x, and I(x) = lam*x - log m(lam).
-        Raises OutOfDomain outside rate_domain().
-        """
-        raise NotImplementedError
-
-    # -- rectified partial sums ------------------------------------------
+    def _sum_params(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays of the mean and standard deviation of S_k, k = 1..n, for
+        kinds whose S_k is normal; NotSupportedModel for the others."""
+        raise NotSupportedModel(
+            f"S_k of {type(self).__name__} increments has no normal law"
+        )
 
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         """Array of x_k = E exp(lam * S_k+), k = 1..n; ValueError for a NaN or inf lam."""
@@ -271,7 +243,8 @@ def _check_mgf_args(lam: float, n: int) -> None:
 
 
 def _newton_root(f, fprime, lo: float, hi: float) -> float:
-    """The root of an increasing f in [lo, hi], f(lo) <= 0 <= f(hi).
+    """The root of an increasing f in [lo, hi], f(lo) <= 0 <= f(hi); its one
+    caller is the lambda* search of finite supports.
 
     Each step moves one end to the Newton step from the end with the
     smaller |f| (to the next float, if that step rounds to 0), or bisects,
@@ -341,9 +314,6 @@ class _NormalBase(IncrementModel):
         # a normal law charges (0, inf) even where Phi(loc / scale) underflows
         return True
 
-    def tilt_var(self, lam: float) -> float:
-        return self.scale**2
-
     def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # in place on ndtri's output; same bits as loc + scale * ndtri(u)
         z = ndtri(u, out=out)
@@ -355,16 +325,6 @@ class _NormalBase(IncrementModel):
         # m(lam) = 1  <=>  lam * loc + lam^2 scale^2 / 2 = 0.
         return -2.0 * self.loc / self.scale**2
 
-    def rate_domain(self) -> tuple[float, float]:
-        return self.loc, math.inf
-
-    def rate_function(self, x: float) -> tuple[float, float]:
-        lo, hi = self.rate_domain()
-        if not lo < x < hi:
-            raise OutOfDomain(f"x = {x:g} outside the rate domain ({lo:g}, inf)")
-        lam = (x - self.loc) / self.scale**2
-        return (x - self.loc) ** 2 / (2.0 * self.scale**2), lam
-
     def _sum_params(self, n) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(1, n + 1, dtype=float)
         return k * self.loc, np.sqrt(k) * self.scale
@@ -372,12 +332,19 @@ class _NormalBase(IncrementModel):
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         _check_mgf_args(lam, n)
         mu, sd = self._sum_params(n)
-        expo = lam * mu + 0.5 * (lam * sd) ** 2
-        if np.any(expo > _MAX_EXPO):
-            raise DivergentMoment(
-                f"exp moment overflows at lam = {lam:g}, n = {n}"
-            )
-        return ndtr(-mu / sd) + np.exp(expo) * ndtr(mu / sd + lam * sd)
+        z = mu / sd
+        with np.errstate(over="ignore", invalid="ignore"):  # mended below
+            a = z + lam * sd
+            expo = lam * mu + 0.5 * (lam * sd) ** 2
+            x = ndtr(-z) + np.exp(expo) * ndtr(a)
+            over = ~(expo <= _MAX_EXPO)  # past it, or NaN from -inf + inf
+            if lam > 0.0 and over.any():
+                raise DivergentMoment(f"exp moment overflows at lam = {lam:g}, n = {n}")
+            # there lam < 0, so a < 0, and exp(expo) Phi(a) = erfcx(-a / sqrt 2)
+            # exp(-z^2 / 2) / 2, whose factors lie in [0, 1]
+            x[over] = (ndtr(-z[over])
+                       + 0.5 * erfcx(-a[over] / math.sqrt(2.0)) * np.exp(-0.5 * z[over] ** 2))
+        return x
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         mu, sd = self._sum_params(n)
@@ -807,7 +774,24 @@ class _DiscreteBase(IncrementModel):
             raise NoPositiveRoot(
                 f"mean(Y) = {mean:g} is 0 up to rounding (E|Y| = {spread:g})"
             )
-        return super()._lambda_star_impl(self._expm1_sum)
+        f = self._expm1_sum
+        # Bracket: m is convex with m(0) = 1, m'(0) < 0 and m -> inf, so
+        # the root is the unique positive point where m crosses 1 upward.
+        hi = 1.0
+        while f(hi) <= 0.0:
+            hi *= 2.0
+            if hi > 1e6:  # pragma: no cover - unreachable for valid models
+                raise NoPositiveRoot("failed to bracket the root of m(lambda)=1")
+        # keep lo strictly positive: m(0) = 1 is the trivial root
+        lo = hi / 2.0
+        while f(lo) >= 0.0:
+            lo /= 2.0
+            if lo == 0.0:  # a mean that is negative by rounding only
+                raise NoPositiveRoot(
+                    f"m(lambda) >= 1 down to the smallest lambda > 0 although "
+                    f"mean(Y) = {mean:g}: the mean is 0 up to rounding"
+                )
+        return _newton_root(f, self.mgf_prime, lo, hi)
 
     def _root_residual(self, root: float) -> tuple[str, float, float]:
         # m(root) - 1 rounds to 0 at any root below about eps / |mean(Y)|,
@@ -879,47 +863,6 @@ class _DiscreteBase(IncrementModel):
         words = rng.word_block(seed, first_rep, reps, n)
         return self.from_words(words, out=words.view(np.float64))[:, :n]
 
-    def rate_domain(self) -> tuple[float, float]:
-        # A0 = lim of the tilted mean as lambda -> inf, the largest atom of
-        # positive probability
-        return self.mean(), max(y for y, p in zip(self.support, self.probs) if p > 0.0)
-
-    def _tilted(self, lam: float) -> tuple[float, float, float]:
-        """log m(lam), and the mean and variance of Y tilted by lam.
-
-        The exponents lam * y are shifted by their largest value (lam *
-        max(y) for lam >= 0), so none of the three overflows where m(lam)
-        does.
-        """
-        p = np.asarray(self.probs)
-        y = np.asarray(self.support)[p > 0.0]
-        p = p[p > 0.0]
-        e = lam * y
-        top = e.max()
-        w = p * np.exp(e - top)
-        total = w.sum()
-        mean = np.dot(w, y) / total
-        return (float(top + np.log(total)), float(mean),
-                float(np.dot(w, np.square(y - mean)) / total))
-
-    def tilt_var(self, lam: float) -> float:
-        return self._tilted(lam)[2]
-
-    def rate_function(self, x: float) -> tuple[float, float]:
-        lo, hi = self.rate_domain()
-        if not lo < x < hi:
-            raise OutOfDomain(f"x = {x:g} outside the rate domain ({lo:g}, {hi:g})")
-
-        def excess(lam: float) -> float:
-            """The tilted mean minus x: increasing, and EY - x < 0 at 0."""
-            return self._tilted(lam)[1] - x
-
-        a, b = 0.0, 1.0
-        while excess(b) < 0.0:
-            a, b = b, 2.0 * b
-        lam = _newton_root(excess, self.tilt_var, a, b)
-        return max(lam * x - self._tilted(lam)[0], 0.0), lam
-
     def lattice(self) -> Lattice:
         """The integer-key lattice of the atoms with positive probability."""
         probs = np.asarray(self.probs, dtype=float)
@@ -951,10 +894,12 @@ class _DiscreteBase(IncrementModel):
     def rectified_exp_seq(self, lam: float, n: int) -> np.ndarray:
         _check_mgf_args(lam, n)
         lat = self.lattice()
-        if lam < 0.0:  # the weight e^(lam v+) lies in (0, 1]
-            return _sum_law_means(lat, n, [lambda v: np.exp(lam * np.maximum(v, 0.0))])[0]
-        # e^(lam S+) = e^(lam S) + (1 - e^(lam S))+, whose weight lies in [0, 1)
-        below = _sum_law_means(lat, n, [lambda v: -np.expm1(lam * np.minimum(v, 0.0))])[0]
+        # lam * v may overflow; exp(-inf) = 0 and expm1(-inf) = -1 are exact
+        with np.errstate(over="ignore"):
+            if lam < 0.0:  # the weight e^(lam v+) lies in (0, 1]
+                return _sum_law_means(lat, n, [lambda v: np.exp(lam * np.maximum(v, 0.0))])[0]
+            # e^(lam S+) = e^(lam S) + (1 - e^(lam S))+, whose weight lies in [0, 1)
+            below = _sum_law_means(lat, n, [lambda v: -np.expm1(lam * np.minimum(v, 0.0))])[0]
         return below + lat.mgf_powers(lam, n)
 
     def rectified_moment_seq(self, n: int) -> tuple[np.ndarray, np.ndarray]:

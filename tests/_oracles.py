@@ -9,7 +9,7 @@ variance's cross sum, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
 line, one formatting call per output value, scipy's brentq for roots and a
-50-digit decimal bisection for the critical exponent and the rate function.
+50-digit decimal bisection for the critical exponent.
 The production code must match these, never the other way around.
 """
 
@@ -48,6 +48,21 @@ def quad_rectified_exp(mu, sd, lam):
     upper = mu + lam * sd**2 + 40.0 * sd  # integrand negligible beyond
     right = quad(integrand, 0.0, upper, limit=200)[0]
     return left + right
+
+
+def quad_rectified_exp_below(mu, sd, lam):
+    """E exp(lam * max(Z, 0)) for Z ~ Normal(mu, sd^2) and lam < 0, by
+    quadrature to 1e-13 relative over u = (Z - mu) / sd: P(Z <= 0) plus
+    the integral over Z > 0 of exp(lam Z) times the density, whose exponent
+    lam Z - u^2 / 2 stays below -u^2 / 2 there."""
+    c = -mu / sd  # Z > 0 where u > c
+    tight = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    below = quad(lambda u: math.exp(-0.5 * u * u), min(c, 0.0) - 40.0, c, **tight)[0]
+    # past its upper end the integrand is below exp(-750) or exp(-800)
+    upper = min(max(c, 0.0) + 40.0, c - 750.0 / (lam * sd))
+    above = quad(lambda u: math.exp(lam * max(mu + sd * u, 0.0) - 0.5 * u * u),
+                 c, upper, **tight)[0]
+    return (below + above) / math.sqrt(2.0 * math.pi)
 
 
 def quad_rectified_moments(mu, sd):
@@ -315,37 +330,6 @@ def expm1_root_decimal(model, lo, hi):
             else:
                 b = mid
         return float((a + b) / 2)
-
-
-def rate_function_decimal(model, x):
-    """(I(x), lambda(x)) of a finite support in 50-digit decimal arithmetic,
-    where exp(lambda y) does not overflow: lambda(x) by bisection on the
-    tilted mean minus x over the bracket the library doubles from [0, 1],
-    and I(x) = lambda x - log m(lambda) at the unrounded lambda, both
-    rounded to the nearest float."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        terms = [(decimal.Decimal(y), decimal.Decimal(p))
-                 for y, p in zip(model.support, model.probs) if p > 0.0]
-        target = decimal.Decimal(x)
-
-        def mgf(lam):
-            return sum(p * (lam * y).exp() for y, p in terms)
-
-        def excess(lam):
-            return sum(p * y * (lam * y).exp() for y, p in terms) / mgf(lam) - target
-
-        a, b = decimal.Decimal(0), decimal.Decimal(1)
-        while excess(b) < 0:
-            a, b = b, 2 * b
-        while b - a > b * decimal.Decimal("1e-40"):
-            mid = (a + b) / 2
-            if excess(mid) < 0:
-                a = mid
-            else:
-                b = mid
-        lam = (a + b) / 2
-        return float(lam * target - mgf(lam).ln()), float(lam)
 
 
 def fixed_point_k_brentq(delta, n):

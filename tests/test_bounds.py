@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,21 @@ class TestLowerThresholds:
         assert detail.lb2 == segment_lower_bound(delta, n, alpha, 1)
         assert detail.lb1 >= _bound_at_fixed_point(delta, n, alpha)
 
+    @given(delta=st.floats(1e-5, 1e150), n=st.integers(1, 5000),
+           alpha=st.floats(1e-17, 0.5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_normal_matches_normal_llr(self, delta, n, alpha, data):
+        # ShiftedNormal(-delta^2 / 2, delta) is the law of NormalLLR(delta),
+        # and both give the segment bounds their S_k law
+        llr = models.NormalLLR(delta)
+        shifted = models.ShiftedNormal(-0.5 * delta**2, delta)
+        assert bounds.lower_bound_detail(shifted, n, alpha) == bounds.lower_bound_detail(
+            llr, n, alpha)
+        k = data.draw(st.integers(1, n))
+        h = data.draw(st.floats(-1e3, 1e3) | st.just(segment_lower_bound(delta, n, alpha, k)))
+        got = bounds.max_tail_lower(shifted, n, h, k)
+        assert np.float64(got).tobytes() == np.float64(bounds.max_tail_lower(llr, n, h, k)).tobytes()
+
     @pytest.mark.parametrize("alpha", [1e-17, 1e-20, 1e-300])
     @pytest.mark.parametrize("n", [10, 2000])
     def test_alpha_below_rounding_gives_finite_bounds(self, nllr, n, alpha):
@@ -264,6 +280,13 @@ class TestThresholdReport:
     def test_negative_mc_reps_refused(self, nllr):
         with pytest.raises(ValueError, match="mc_reps"):
             bounds.threshold_report(nllr, 50, 0.05, mc_reps=-5)
+
+    def test_shifted_normal_report_chain(self):
+        # the segment bounds of a normal model that is not an LLR law
+        rep = bounds.threshold_report(models.ShiftedNormal(-0.25, 1.0), 200, 0.05,
+                                      mc_reps=20_000, seed=7)
+        assert rep.lb2 <= rep.lb1 <= rep.mc_quantile + 3 * rep.mc_stderr
+        assert rep.mc_quantile <= rep.ub1 + 3 * rep.mc_stderr
 
     def test_report_without_mc_or_lb(self):
         rep = bounds.threshold_report(models.BernoulliPM(0.2), 50, 0.1)

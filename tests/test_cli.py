@@ -61,6 +61,20 @@ class TestPlumbing:
         assert code == 1
         assert "InvalidAlpha" in err
 
+    def test_shifted_normal_threshold_is_normal_llr_threshold(self, capsys):
+        # shifted-normal:a=-0.5,sigma=1 is the law of normal-llr:delta=1, so
+        # every threshold, the segment lower bounds included, is the same
+        results = []
+        for spec in ("normal-llr:delta=1", "shifted-normal:a=-0.5,sigma=1"):
+            code, out, _ = run(capsys, "threshold", "--model", spec, "--n", "200",
+                               "--alpha", "0.05")
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result.pop("model_spec") == spec
+            results.append(result)
+        assert results[0] == results[1]
+        assert results[1]["lb1"] == 4.243534204641378
+
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
     def test_mc_figure_refuses_alpha_outside_unit_interval(self, capsys, alpha):
         code, out, err = run(capsys, "figures", "--which", "5", "--n", "10",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from cusumkit import cli, models, moments, rng
 from cusumkit.errors import (
@@ -21,7 +21,6 @@ from cusumkit.errors import (
     NoConvergence,
     NoPositiveRoot,
     NotAnLLRModel,
-    OutOfDomain,
     TooLarge,
 )
 
@@ -31,8 +30,8 @@ from _oracles import (
     lambda_star_brentq,
     quad_one_minus_exp_pos,
     quad_rectified_exp,
+    quad_rectified_exp_below,
     quad_rectified_moments,
-    rate_function_decimal,
     rectified_exp_seq_loop,
     rectified_moment_seq_loop,
 )
@@ -433,41 +432,6 @@ class TestBrentq:
         assert (abs(root - lambda_star_brentq(model))
                 <= band + old_band + 1e-15 * (1.0 + root))
 
-    @given(model=_negative_drift_tables(), u=st.one_of(
-        st.floats(0.01, 0.99), st.floats(-4.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
-    @settings(max_examples=100, deadline=None)
-    def test_rate_function_maximizer(self, model, u):
-        # x up to 1e-4 of the domain's width below its top, where the
-        # bracket of rate_function doubles past 1
-        lo, hi = model.rate_domain()
-        x = lo + u * (hi - lo)
-        if not lo < x < hi:
-            reject()
-
-        with _solve_counts() as counts:
-            rate, lam = model.rate_function(x)
-        assert max(counts) <= models._MAX_EVALS
-        want_rate, want_lam = rate_function_decimal(model, x)
-        assert lam == pytest.approx(want_lam, rel=1e-12)
-        # I = lam x - log m(lam) may cancel down to the rounding of its
-        # terms: the log of a sum near 1, and exponents up to lam max|y|
-        spread = max(abs(v) for v in model.support)
-        assert rate == pytest.approx(want_rate, rel=1e-12,
-                                     abs=8.0 * _EPS * (1.0 + lam * spread))
-
-    def test_rate_function_table_710_where_m_overflows(self):
-        # m(1) = E exp(Y) overflows (exp(710)) inside the first bracket
-        # [0, 1]; the tilted mean m'/m there was inf / inf = NaN
-        model = models.DiscreteTable((710.0, -1.0),
-                                     (0.0014064556962025316, 0.9985935443037974))
-        lo, hi = model.rate_domain()
-        x = 0.5 * (lo + hi)
-        assert model.mgf(1.0) == math.inf
-        rate, lam = model.rate_function(x)
-        want_rate, want_lam = rate_function_decimal(model, x)
-        assert lam == pytest.approx(want_lam, rel=1e-12)
-        assert rate == pytest.approx(want_rate, rel=1e-12)
-
     @given(values=st.lists(st.integers(-4, 3), min_size=2, max_size=5, unique=True),
            data=st.data(), xtol=st.sampled_from([1e-15, 1e-12, 2e-12]),
            maxiter=st.sampled_from([3, 100]))
@@ -519,46 +483,6 @@ class TestBrentq:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-
-
-class TestRateFunction:
-    def test_normal_quadratic(self):
-        m = models.ShiftedNormal(-0.5, 2.0)
-        rate, lam = m.rate_function(1.0)
-        assert rate == pytest.approx(1.5**2 / (2 * 4.0), rel=1e-13)
-        assert lam == pytest.approx(1.5 / 4.0, rel=1e-13)
-
-    def test_discrete_legendre_dual(self):
-        # I(x) must dominate lam*x - log m(lam) for every lam, with
-        # equality at the reported maximizer.
-        m = models.BernoulliPM(0.3)
-        x = 0.2
-        rate, lam_hat = m.rate_function(x)
-        grid = np.linspace(0.0, 5.0, 200)
-        dual = grid * x - np.log([m.mgf(t) for t in grid])
-        assert rate >= dual.max() - 1e-9
-        assert rate == pytest.approx(
-            lam_hat * x - math.log(m.mgf(lam_hat)), abs=1e-12
-        )
-
-    def test_domain_enforced(self):
-        m = models.BernoulliPM(0.3)
-        with pytest.raises(OutOfDomain):
-            m.rate_function(1.5)  # beyond max support
-        with pytest.raises(OutOfDomain):
-            m.rate_function(m.mean())  # open interval
-
-    def test_domain_ends_at_the_largest_atom_of_positive_probability(self):
-        # the atom 3 has probability 0, so the tilted mean stays below 1
-        m = models.DiscreteTable((3.0, -2.0, 1.0), (0.0, 0.5, 0.5))
-        assert m.rate_domain() == (-0.5, 1.0)
-        with pytest.raises(OutOfDomain):
-            m.rate_function(2.0)
-
-    def test_callable_view(self):
-        rate, lam = models.ShiftedNormal(-1.0, 1.0).rate_function(0.0)
-        assert rate == pytest.approx(0.5, rel=1e-13)
-        assert lam == pytest.approx(1.0, rel=1e-13)
 
 
 class TestDiscreteSums:
@@ -825,23 +749,44 @@ class TestRectifiedExpArguments:
             moments.cusum_mgf_recursive(model, lam, 5)
 
 
-class TestTiltVariance:
-    def test_normal_is_scale_squared(self):
-        m = models.ShiftedNormal(-0.5, 1.7)
-        assert m.tilt_var(0.3) == 1.7**2
+class TestExtremeLambda:
+    """x_k where lam * mu_k + (lam sd_k)^2 / 2, or lam * y, leaves the
+    float range: values in (0, 1] for lam < 0, DivergentMoment for lam > 0,
+    and never a RuntimeWarning."""
 
-    @pytest.mark.parametrize("lam", [-0.4, 0.0, 0.8])
-    def test_discrete_is_derivative_of_tilted_mean(self, lam):
-        m = models.DiscreteTable((1.5, -1.0, -0.25), (0.2, 0.5, 0.3))
-        eps = 1e-6
+    @pytest.mark.parametrize("model", [models.NormalLLR(1.0), models.ShiftedNormal(-0.5, 2.0)],
+                             ids=["normal-llr", "shifted-normal"])
+    @pytest.mark.parametrize("lam", [-1.0, -5.0, -20.0, -1e300])
+    def test_normal_negative_lambda_matches_quadrature(self, model, lam):
+        # the direct form exp(expo) Phi(a) overflows from k = 701 at lam =
+        # -1 for normal-llr:delta=1, and at k = 1 from lam = -20 for sigma = 2
+        n = 2000
+        xs = model.rectified_exp_seq(lam, n)
+        assert np.all(np.isfinite(xs)) and np.all((xs > 0.0) & (xs <= 1.0))
+        mu, sd = model._sum_params(n)
+        if lam == -1e300:
+            np.testing.assert_array_equal(xs, ndtr(-mu / sd))
+        for k in (1, 2, 10, 100, 700, 701, 702, 1000, 1999, 2000):
+            want = quad_rectified_exp_below(mu[k - 1], sd[k - 1], lam)
+            assert xs[k - 1] == pytest.approx(want, rel=1e-12, abs=0.0), k
 
-        def tilt_mean(t):
-            return m.mgf_prime(t) / m.mgf(t)
-
-        fd = (tilt_mean(lam + eps) - tilt_mean(lam - eps)) / (2 * eps)
-        assert m.tilt_var(lam) == pytest.approx(fd, rel=1e-7)
-        if lam == 0.0:
-            assert m.tilt_var(lam) == pytest.approx(m.var(), rel=1e-13)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", [
+        models.BernoulliPM(0.3),
+        models.parse_model("table:y=-2;-1;0;1;2,p=0.25;0.3;0.2;0.15;0.1"),
+        models.NormalLLR(1.0),
+        models.ShiftedNormal(0.3, 2.0),
+    ], ids=["bernoulli", "table5", "normal-llr", "shifted-normal-up"])
+    @pytest.mark.parametrize("lam", [-1.7e308, -1e200, 1e200, 1.7e308])
+    def test_no_overflow_warning(self, model, lam):
+        if lam > 0.0:
+            with pytest.raises(DivergentMoment):
+                model.rectified_exp_seq(lam, 3)
+            return
+        xs = model.rectified_exp_seq(lam, 3)
+        assert np.all((xs > 0.0) & (xs <= 1.0))
+        if isinstance(model, models.BernoulliPM):  # P(S_k <= 0)
+            np.testing.assert_allclose(xs, [0.7, 0.91, 0.784], rtol=2 * _EPS, atol=0.0)
 
 
 class TestValidationAndGrammar:
