@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -212,8 +213,7 @@ def _cmd_threshold(args) -> None:
         seed=args.seed,
         parallel_streams=args.parallel,
     )
-    delta = model.delta if isinstance(model, models.NormalLLR) else None
-    rows = Table.of_rows([_threshold_row(report, delta)], len(_THRESHOLD_HEADER))
+    rows = Table.of_rows([_threshold_row(report, model.llr_delta())], len(_THRESHOLD_HEADER))
     _emit(args, report, _THRESHOLD_HEADER, rows)
 
 
@@ -304,15 +304,16 @@ def _build_pair(args):
 _JSONL = json.JSONDecoder(parse_int=float)
 
 
-# line breaks of str.splitlines other than "\n".  The CSV fast path cuts
-# lines at "\n" alone, so a text holding one of them, a "\r" (open()
-# translates it in a file, stdin may not) or a non-ASCII character goes to
-# the per-line pass.
-_CELL_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
-_CSV_CHUNK = 1 << 18  # characters per orjson.loads of a CSV column
-_REST_OF_LINE = re.compile(",[^\n]*")
+# line breaks of str.splitlines other than "\n" and "\r".  The CSV fast path
+# cuts lines at "\n" alone, so an input holding one of them or a non-ASCII
+# byte goes to the per-line pass.
+_CELL_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+_CSV_CHUNK = 1 << 18  # bytes per orjson.loads of a CSV column
+_REST_OF_LINE = re.compile(rb",[^\n]*")
+_NOT_NUMBERS = b'tfn"[{'  # the first characters of JSON values other than numbers
 _JSONL_START = re.compile(r"\s*\{")  # \s is the whitespace of str.strip
 _NEG_ZERO = re.compile(r"-0(?![.eE\d])")  # an integer -0, which orjson reads as 0
+_NEG_ZERO_CELL = re.compile(rb"-(?<![eE]-)0(?![.eE\d])")  # the same, not in 1e-0
 _NUMBER_TYPES = frozenset((float, int))
 
 
@@ -320,84 +321,95 @@ def _read_values(path: str, field: str) -> np.ndarray:
     """One value per non-blank line: the first comma field of a CSV row
     (after an optional header row), or ``field`` of a JSONL record.
 
-    orjson parses the numbers (``_read_fast``), a CSV column a chunk of
-    lines at a time and a JSONL file a record at a time.  A text it refuses
-    or that holds a nan or inf goes through ``_parse_lines``, the per-line
-    pass, which gives the same values or names the bad line.
+    orjson parses the numbers (``_read_fast``); an input it refuses or that
+    holds a nan or inf goes through ``_parse_lines``, the per-line pass,
+    which gives the same values or names the bad line.
     """
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.read()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        out = _read_fast(text, field)
+        out = _read_fast(data, field)
     except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
         out = None
     if out is not None and np.isfinite(out).all():
         return out
-    return _parse_lines(text, field)
+    return _parse_lines(_text(data), field)
 
 
-def _read_fast(text: str, field: str) -> np.ndarray | None:
-    """The values of ``_parse_lines`` read by orjson, or None when it does
-    not apply.  JSON numbers are a subset of what ``float`` reads, with the
-    same correctly rounded value, except the integer -0 (refused); any
-    other element than a number raises."""
-    if _JSONL_START.match(text):
-        vals = []
-        for ln in text.splitlines():
-            try:
-                vals.append(orjson.loads(ln)[field])
-            except orjson.JSONDecodeError:
-                if ln.strip():
-                    raise
-        return np.array(_only_numbers(vals, text), dtype=float)
-    if not text.isascii() or "\r" in text or any(c in text for c in _CELL_BREAKS):
+def _text(data: bytes | str) -> str:
+    """The text of a file's bytes, as ``open(path).read()`` gives it, or of stdin."""
+    return data if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data)).read()
+
+
+def _read_fast(data: bytes | str, field: str) -> np.ndarray | None:
+    """The values of ``_parse_lines`` read by orjson, or None when it does not
+    apply.  JSON numbers are a subset of what ``float`` reads, with the same
+    correctly rounded value, except the integer -0 (refused); any other element
+    raises.  An ASCII CSV is read from bytes, "\\r" as a line break, one array per chunk."""
+    raw = data.encode() if isinstance(data, str) else data  # stdin is read as text
+    if raw.isascii() and not any(c in raw for c in _CELL_BREAKS):
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        pos = _csv_head(raw)
+        if pos is not None:
+            parts = [np.empty(0)]  # for a file with no data row too
+            stop = len(raw) - raw.endswith(b"\n")  # the last line break ends no line
+            while pos < stop:
+                end = raw.find(b"\n", pos + _CSV_CHUNK, stop)
+                if end < 0:
+                    end = stop
+                parts.append(_first_cells(raw[pos:end]))
+                pos = end + 1
+            return np.concatenate(parts)
+    text = _text(data)
+    if not _JSONL_START.match(text):
         return None
-    pos = _csv_head(text)
-    if pos is None:
-        return None
-    out = np.empty(text.count("\n", pos) + 1)
-    n = 0
-    stop = len(text) - text.endswith("\n")  # the last line break ends no line
-    while pos < stop:
-        end = text.find("\n", pos + _CSV_CHUNK, stop)
-        if end < 0:
-            end = stop
-        vals = _first_cells(text[pos:end])
-        out[n:n + len(vals)] = vals
-        n += len(vals)
-        pos = end + 1
-    return out[:n]
+    vals = []
+    for ln in text.splitlines():
+        try:
+            vals.append(orjson.loads(ln)[field])
+        except orjson.JSONDecodeError:
+            if ln.strip():
+                raise
+    return np.array(_only_numbers(vals, text), dtype=float)
 
 
-def _first_cells(lines: str) -> list:
+def _first_cells(lines: bytes) -> np.ndarray:
     """The first comma cells of the non-blank ``lines``, one orjson parse."""
     try:
         return _json_column(lines)
     except orjson.JSONDecodeError:  # maybe a blank line; drop them and retry
-        kept = "\n".join(filter(str.strip, lines.split("\n")))
+        # str.strip's whitespace, of the bytes that get here
+        kept = b"\n".join(ln for ln in lines.split(b"\n") if ln.strip(b" \t\x1f"))
         if len(kept) == len(lines):
             raise
         return _json_column(kept)
 
 
-def _json_column(lines: str) -> list:
-    """The first comma cells of ``lines`` as the elements of one JSON array.
-    A blank line or an empty first cell leaves an empty element, which
-    orjson refuses, unless it is the only one: then the array is empty."""
-    commas = "," in lines
-    cells = _REST_OF_LINE.sub("", lines) if commas else lines
-    vals = orjson.loads("[" + cells.replace("\n", ",") + "]")
+def _json_column(lines: bytes) -> np.ndarray:
+    """The first comma cells of ``lines``, parsed as one JSON array.  A blank
+    line or an empty first cell leaves an empty element, which orjson refuses,
+    unless it is the only one: then the array is empty.  Cells without any of
+    ``_NOT_NUMBERS`` hold numbers only; an integer -0 is looked for if one is 0."""
+    commas = b"," in lines
+    cells = _REST_OF_LINE.sub(b"", lines) if commas else lines
+    if any(c in cells for c in _NOT_NUMBERS):
+        raise TypeError("not a number")
+    vals = orjson.loads(b"[" + cells.replace(b"\n", b",") + b"]")
     if not vals and commas:
         raise ValueError("an empty first cell")
-    return _only_numbers(vals, cells)
+    out = np.fromiter(vals, float, len(vals))
+    if not out.all() and _NEG_ZERO_CELL.search(cells):
+        raise ValueError("an integer -0")
+    return out
 
 
 def _only_numbers(vals: list, text: str) -> list:
     """``vals`` when each is a float or an int (bool is neither) and ``text``
-    writes no integer -0."""
+    writes no integer -0: the check of a JSONL file's field values."""
     types = set(map(type, vals))
     if not types <= _NUMBER_TYPES:
         raise TypeError("not a number")
@@ -406,23 +418,25 @@ def _only_numbers(vals: list, text: str) -> list:
     return vals
 
 
-def _csv_head(text: str) -> int | None:
-    """Where the first CSV data row starts: after the blank lines and a
-    header row, sniffed as ``_parse_lines`` does.  None for a text without
-    a non-blank line."""
+def _csv_head(data: bytes) -> int | None:
+    """Where the first CSV data row of ASCII ``data`` starts: after the blank
+    lines and a header row, sniffed as ``_parse_lines`` does.  None when no
+    line is non-blank or the first that is opens a JSONL record."""
     pos = 0
     while True:
-        end = text.find("\n", pos)
-        line = text[pos:] if end < 0 else text[pos:end]
+        end = data.find(b"\n", pos)
+        line = (data[pos:] if end < 0 else data[pos:end]).decode()
         if line.strip():
             break
         if end < 0:
             return None
         pos = end + 1
+    if line.lstrip().startswith("{"):
+        return None
     try:
         float(line.split(",")[0])
     except ValueError:
-        return len(text) if end < 0 else end + 1  # a header row
+        return len(data) if end < 0 else end + 1  # a header row
     return pos
 
 

@@ -187,6 +187,11 @@ class IncrementModel:
         _root_residual names, given mean(Y) < 0 < P(Y > 0)."""
         raise NotImplementedError
 
+    def llr_delta(self) -> float | None:
+        """delta of the NormalLLR whose law lambda* Y has, for normal kinds:
+        lambda* scale.  None for the others."""
+        return None
+
     # -- partial sums -----------------------------------------------------
 
     def _sum_params(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +329,11 @@ class _NormalBase(IncrementModel):
     def _lambda_star_impl(self) -> float:
         # m(lam) = 1  <=>  lam * loc + lam^2 scale^2 / 2 = 0.
         return -2.0 * self.loc / self.scale**2
+
+    def llr_delta(self) -> float:
+        # lambda* Y ~ N(lambda* loc, (lambda* scale)^2), and lambda* loc =
+        # -(lambda* scale)^2 / 2
+        return self.lambda_star() * self.scale
 
     def _sum_params(self, n) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(1, n + 1, dtype=float)

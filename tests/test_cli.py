@@ -411,6 +411,23 @@ class TestNumericPayloads:
         assert result["lambda_star"] == lam
         assert result["bound"] == min(math.exp(-lam * 6.0) * (1.0 + 10 * d), 1.0) < 1.0
 
+    def test_threshold_csv_delta_from_the_model(self, capsys):
+        # shifted-normal:a=-0.5,sigma=1 is the law of normal-llr:delta=1, so
+        # its row, the delta column included, is the same
+        rows = []
+        for model in ("normal-llr:delta=1", "shifted-normal:a=-0.5,sigma=1"):
+            code, out, _ = run(capsys, "threshold", "--model", model, "--n", "50",
+                               "--alpha", "0.05", "--mc-reps", "2000", "--seed", "3",
+                               "--format", "csv")
+            lines = out.splitlines()
+            assert code == 0 and lines[0].startswith("# config: ")
+            rows.append(lines[1:])
+        assert rows[0] == rows[1]
+        assert rows[0][1].startswith("1,50,0.05,")
+        code, out, _ = run(capsys, "threshold", "--model", "bernoulli-pm:p=0.3", "--n", "50",
+                           "--alpha", "0.05", "--format", "csv")
+        assert code == 0 and out.splitlines()[2].startswith(",50,0.05,")
+
     def test_simulate_emit_reps_csv(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "bernoulli-pm:p=0.3",
                            "--n", "30", "--reps", "25", "--seed", "4", "--emit-reps",
@@ -985,6 +1002,39 @@ class TestReadValues:
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
         assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "3\n0\n1\n2\n0\n3\n",
+        "value\n1e-5\n-2.5E+3\n1E5\n-7e-300\n2.5e+3\n1e-0\n0.0\n",
+        "value\n-0.0\n0.0\n-0.0\n",
+        "value\n" + "\n".join(map(repr, np.random.default_rng(3).standard_normal(5000).tolist()))
+        + "\n",
+        "value\n1\n\x1f\n2\n \t\x1f\n3\n",
+    ], ids=["integers-with-zero", "exponents", "signed-zeros", "header-and-batch",
+            "unit-separator-blank-lines"])
+    def test_number_forms_skip_the_per_line_pass(self, tmp_path, monkeypatch, text):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(text.encode())
+        want = read_values_per_line(data, "value")
+
+        def refuse(*args):
+            raise AssertionError("per-line pass called")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        ("value\n1\nfalse\n2\n", "line 3: non-numeric value 'false'"),
+        ("value\n1\n\n{}\n", "line 4: non-numeric value '{}'"),
+        ('1\n"x",2\n', "line 2: non-numeric value '\"x\"'"),
+    ], ids=["false", "object", "string"])
+    def test_non_number_first_cell_named(self, tmp_path, text, line):
+        # JSON values that are not numbers stop the fast path before orjson
+        # parses them; the per-line pass names the line
+        data = tmp_path / "obs.csv"
+        data.write_bytes(text.encode())
+        assert _outcome(read_values_per_line, data) == ("CusumkitError", line)
+        assert _outcome(cli._read_values, data) == ("CusumkitError", line)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_read_once(self, tmp_path):

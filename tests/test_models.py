@@ -113,6 +113,22 @@ class TestLambdaStar:
         assert lam > 0
         assert m.mgf(lam) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("model, delta", [
+        (models.NormalLLR(0.37), 0.37),
+        (models.NormalLLR(80.0), 80.0),
+        (models.ShiftedNormal(-0.5, 1.0), 1.0),
+        (models.ShiftedNormal(-2.0, 3.0), 4.0 / 3.0),
+        (models.BernoulliPM(0.3), None),
+        (models.DiscreteTable((1.5, -1.0), (0.3, 0.7)), None),
+    ])
+    def test_llr_delta(self, model, delta):
+        # lambda* Y of a normal kind is NormalLLR(lambda* scale); NormalLLR
+        # gives its own delta back bit for bit
+        if isinstance(model, models.ShiftedNormal):
+            assert model.llr_delta() == pytest.approx(delta, rel=1e-15)
+        else:
+            assert model.llr_delta() == delta
+
     def test_positive_mean_rejected(self):
         with pytest.raises(NoPositiveRoot):
             models.ShiftedNormal(0.1, 1.0).lambda_star()
