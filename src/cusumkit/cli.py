@@ -326,32 +326,46 @@ def _read_values(path: str, field: str) -> np.ndarray:
     which gives the same values or names the bad line.
     """
     if path == "-":
-        data = sys.stdin.read()
+        data, decode = _stdin()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
+        decode = _file_text
     try:
-        out = _read_fast(data, field)
+        out = _read_fast(data, field, decode)
     except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
         out = None
     if out is not None and np.isfinite(out).all():
         return out
-    return _parse_lines(_text(data), field)
+    return _parse_lines(decode(data), field)
 
 
-def _text(data: bytes | str) -> str:
-    """The text of a file's bytes, as ``open(path).read()`` gives it, or of stdin."""
-    return data if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data)).read()
+def _file_text(data: bytes) -> str:
+    """The text of a file's bytes, as ``open(path).read()`` gives it."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
-def _read_fast(data: bytes | str, field: str) -> np.ndarray | None:
+def _stdin() -> tuple[bytes | str, object]:
+    """Standard input's bytes, and the function that decodes them as its text
+    stream does (which translates no line ends); a stream without a byte
+    buffer, such as ``io.StringIO``, gives its text and ``str``."""
+    stdin = sys.stdin
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is None:
+        return stdin.read(), str
+    return buffer.read(), functools.partial(bytes.decode, encoding=stdin.encoding,
+                                            errors=stdin.errors)
+
+
+def _read_fast(data: bytes | str, field: str, decode) -> np.ndarray | None:
     """The values of ``_parse_lines`` read by orjson, or None when it does not
     apply.  JSON numbers are a subset of what ``float`` reads, with the same
     correctly rounded value, except the integer -0 (refused); any other element
-    raises.  An ASCII CSV is read from bytes, "\\r" as a line break, one array per chunk."""
-    raw = data.encode() if isinstance(data, str) else data  # stdin is read as text
+    raises.  An ASCII CSV is read from bytes, one array per chunk; ``decode``
+    gives the text of ``data`` for the other formats."""
+    raw = data.encode() if isinstance(data, str) else data
     if raw.isascii() and not any(c in raw for c in _CELL_BREAKS):
-        if b"\r" in raw:
+        if b"\r" in raw and _lone_cr(raw):
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         pos = _csv_head(raw)
         if pos is not None:
@@ -364,7 +378,7 @@ def _read_fast(data: bytes | str, field: str) -> np.ndarray | None:
                 parts.append(_first_cells(raw[pos:end]))
                 pos = end + 1
             return np.concatenate(parts)
-    text = _text(data)
+    text = decode(data)
     if not _JSONL_START.match(text):
         return None
     vals = []
@@ -377,13 +391,23 @@ def _read_fast(data: bytes | str, field: str) -> np.ndarray | None:
     return np.array(_only_numbers(vals, text), dtype=float)
 
 
+def _lone_cr(raw: bytes) -> bool:
+    """Whether a "\\r" that no "\\n" follows ends a line of ``raw``.  orjson
+    reads the "\\r" of "\\r\\n", or one that ends ``raw``, as whitespace, so
+    only such a line end needs the translation to "\\n"."""
+    b = np.frombuffer(raw, np.uint8)
+    cr = b[:-1] == ord("\r")
+    cr &= b[1:] != ord("\n")
+    return bool(cr.any())
+
+
 def _first_cells(lines: bytes) -> np.ndarray:
     """The first comma cells of the non-blank ``lines``, one orjson parse."""
     try:
         return _json_column(lines)
     except orjson.JSONDecodeError:  # maybe a blank line; drop them and retry
         # str.strip's whitespace, of the bytes that get here
-        kept = b"\n".join(ln for ln in lines.split(b"\n") if ln.strip(b" \t\x1f"))
+        kept = b"\n".join(ln for ln in lines.split(b"\n") if ln.strip(b" \t\r\x1f"))
         if len(kept) == len(lines):
             raise
         return _json_column(kept)
@@ -573,8 +597,8 @@ def _cmd_detect(args) -> None:
             "t": state.t,
             "w": state.w,
             "running_max": state.running_max,
-            "new_alarms": Table.of_rows(new_alarms, 2),
-            "all_alarms": Table.of_rows(state.alarms, 2),
+            "new_alarms": new_alarms,  # (t, w) pairs, which orjson writes as arrays
+            "all_alarms": state.alarms,
         }
         if args.emit_path or args.format == "csv":
             rows = Table(np.arange(t0 + 1, state.t + 1), path)

@@ -4,9 +4,10 @@ Builds log-likelihood-ratio increments from a hypothesis pair (default
 density f against disturbed density g), runs the offline CUSUM scan for
 abrupt and transient changes, and offers a streaming monitor with
 threshold alarms and multi-change resets.  The scan and the monitor share
-one Lindley fold, ``monitor_run``: a Python loop on short batches, and on
-long ones exact lanes that are re-folded from the true state until they
-meet it, with the loop's bits either way.
+one Lindley fold, ``monitor_run``: a Python loop on tiny batches and on
+those holding a NaN; otherwise lanes folded in lockstep from a guess of
+their entering state, then re-folded from the true state until they meet
+it (in lockstep passes on short batches), with the loop's bits either way.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import orjson
 
 from .errors import CusumkitError, UnsupportedValue
 from .models import DiscreteTable, IncrementModel, NormalLLR
@@ -199,24 +201,30 @@ class CusumState:
     alarms: tuple[tuple[int, float], ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w": self.w,
-                "t": self.t,
-                "running_max": self.running_max,
-                "alarms": [[t, v] for t, v in self.alarms],
-            }
-        )
+        return orjson.dumps({"w": self.w, "t": self.t, "running_max": self.running_max,
+                             "alarms": self.alarms},
+                            option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
-    def from_json(cls, text: str) -> "CusumState":
+    def from_json(cls, text: str | bytes) -> "CusumState":
         """The state ``to_json`` writes: w and running_max finite numbers >= 0,
         t an integer in [0, 2**63), alarms a list of [integer in [0, 2**63),
         finite number] pairs.  Anything else raises CusumkitError."""
         try:
+            return cls._of(orjson.loads(text))
+        except (orjson.JSONDecodeError, CusumkitError):
+            pass
+        # json words the refusal: orjson refuses NaN and Infinity, and reads
+        # integers from 2**64 on as floats
+        try:
             raw = json.loads(text)
         except ValueError as exc:
             raise CusumkitError(f"not JSON: {exc}") from None
+        return cls._of(raw)
+
+    @classmethod
+    def _of(cls, raw) -> "CusumState":
+        """The state a parsed JSON value holds, checked as ``from_json`` says."""
         if type(raw) is not dict:
             raise CusumkitError("not a JSON object")
         for k in ("w", "t", "running_max", "alarms"):
@@ -229,15 +237,31 @@ class CusumState:
             raise CusumkitError(f"t must be an integer >= 0, got {raw['t']!r}")
         if raw["t"] >= _T_END:
             raise CusumkitError(f"t must be below 2**63, got {raw['t']}")
-        alarms = raw["alarms"]
-        if type(alarms) is not list or not all(
-                type(a) is list and len(a) == 2 and type(a[0]) is int
-                and _finite_number(a[1]) for a in alarms):
-            raise CusumkitError("alarms must be a list of [t, w] pairs")
-        if not all(0 <= a[0] < _T_END for a in alarms):
+        times, values = _alarm_columns(raw["alarms"])
+        if times and not (min(times) >= 0 and max(times) < _T_END):
             raise CusumkitError("alarm times must lie in [0, 2**63)")
         return cls(w=float(raw["w"]), t=raw["t"], running_max=float(raw["running_max"]),
-                   alarms=tuple((t, float(v)) for t, v in alarms))
+                   alarms=tuple(zip(times, map(float, values))))
+
+
+def _alarm_columns(alarms) -> tuple[tuple, tuple]:
+    """The times and the values of a JSON list of [integer, finite number]
+    pairs (booleans are neither); anything else raises CusumkitError."""
+    if type(alarms) is list and not alarms:
+        return (), ()
+    if (type(alarms) is list and set(map(type, alarms)) == {list}
+            and set(map(len, alarms)) == {2}):
+        times, values = zip(*alarms)
+        kinds = set(map(type, values))
+        if set(map(type, times)) == {int} and kinds <= _NUMBER_TYPES:
+            # an integer just past the largest float would round down to it
+            finite = all(map(_finite_number if int in kinds else math.isfinite, values))
+            if finite:
+                return times, values
+    raise CusumkitError("alarms must be a list of [t, w] pairs")
+
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _finite_number(v) -> bool:
@@ -259,9 +283,12 @@ def monitor_run(
     ``w += y`` then clamping when ``w < 0.0`` is the IEEE result of
     ``max(w + y, 0.0)``, -0.0 and NaN included, so any split of the
     increments into batches gives the same bits.  Batches shorter than
-    ``_LANE_MIN``, and batches holding a NaN increment (the NaN that the
+    ``_SHORT_MIN``, and batches holding a NaN increment (the NaN that the
     sum of two NaNs carries depends on the adder), run that loop one step
-    at a time; longer ones run ``_lane_fold``, which gives the loop's bits.
+    at a time; longer ones run ``_lane_fold``, which gives the loop's bits:
+    short lanes with lockstep correction passes below ``_LANE_MIN``, and
+    about sqrt(n) lanes from there.  Short lanes that do not settle (a walk
+    without a downward drift) hand the batch back to the loop.
     The running maximum is the largest value before a reset (NaN skipped),
     taken when it is above the old one: for a state whose running_max is
     not negative, the loop's ``w > top``.  A batch that would carry t to
@@ -271,7 +298,10 @@ def monitor_run(
     w, t, top = state.w, state.t, state.running_max
     if t + y.shape[0] >= _T_END:
         raise CusumkitError(f"t would reach {t + y.shape[0]}, past 2**63 - 1")
-    if y.shape[0] < _LANE_MIN or np.isnan(y).any():
+    folded = None
+    if y.shape[0] >= _SHORT_MIN and not np.isnan(y).any():
+        folded = _lane_fold(float(w), y, h)
+    if folded is None:
         alarms: list[tuple[int, float]] = []
         path: list[float] = []
         record = path.append
@@ -287,7 +317,7 @@ def monitor_run(
             record(w)
         values = np.array(path, dtype=float)
     else:
-        w, values = _lane_fold(float(w), y, h)
+        w, values = folded
         peak = np.fmax.reduce(values)
         if peak > top:
             top = float(peak)
@@ -299,59 +329,124 @@ def monitor_run(
     return new, alarms, values
 
 
-# Below this many increments the fold is the scalar loop.  Measured, the
-# lanes are faster from about 2 000 increments of drift -0.5, but only from
-# about 16 000 on a driftless walk, whose lanes meet late.
+# Below _SHORT_MIN increments the fold is the scalar loop, below _LANE_MIN it
+# runs lanes of _LANE steps with correction passes, and from there about
+# sqrt(n) lanes and the walk alone.  Measured at 4 096 increments, short
+# lanes take 0.3-0.45 of the loop's time at drift -0.5; on a walk whose
+# lanes do not settle, the one pass before the loop takes over adds 10 %
+# (20 % at 2 048).  Long lanes beat the loop from about 16 000 increments
+# of a driftless walk, and 16-step lanes lose to them there.
+_SHORT_MIN = 4096
 _LANE_MIN = 16384
+_LANE = 16
+# at most _PASSES correction passes, while each settles half of the lanes it
+# re-folds; more than 2/3 of the lanes unsettled after the first fold, or a
+# quarter after a pass, hand the batch to the loop, and the rest to the walk
+_PASSES = 4
+_WALK_MAX = 16
 # scalar steps per burst of the re-fold; runs of at least _QUIET_MIN steps
 # without a clamp or an alarm switch it to cumsum runs
 _BURST = 16
 _QUIET_MIN = 32
 
 
-def _lane_fold(w: float, y: np.ndarray, h: float) -> tuple[float, np.ndarray]:
-    """The loop's values before each reset, and its final state, from w.
+def _lane_fold(w: float, y: np.ndarray, h: float) -> tuple[float, np.ndarray] | None:
+    """The loop's values before each reset, and its final state, from w;
+    None when short lanes do not settle and the loop should run instead.
 
-    The increments are cut into about sqrt(n) contiguous lanes, and every
-    lane is folded from +0.0 in lockstep over a transposed copy, by the
-    loop's own operations.  The map from (w, y, h) to the next state is
-    deterministic, so once the true state entering a step equals a lane's
-    provisional one bit for bit, the rest of the lane is the true path.
-    The lanes are walked in order, carrying the true state: ``_refold``
-    re-folds each lane from it until the two meet.  Under the pre-change
-    law W returns to 0 every few steps, so they meet almost at once.
-    ``y`` holds no NaN, so no sum has two NaN operands.
+    The increments are cut into contiguous lanes, and every lane is folded
+    from +0.0 in lockstep over a transposed copy, by the loop's own
+    operations.  The map from (w, y, h) to the next state is deterministic,
+    so once the true state entering a step equals a lane's provisional one
+    bit for bit, the rest of the lane is the true path.  A lane is settled
+    when it was folded from the state its predecessor ends in (the first
+    from w): then, by induction, every lane before the first unsettled one
+    holds the true path.
+
+    Long batches are cut into about sqrt(n) lanes.  Short ones are cut into
+    lanes of _LANE steps, first folded without resets; correction passes
+    then re-fold in lockstep, with resets, the lanes that reached h and
+    those not settled, from the state their predecessors now end in (a
+    -0.0, which ``np.maximum`` may not keep, is left to the walk).  The
+    walk visits the unsettled lanes in order, carrying the true state, and
+    ``_refold`` re-folds each from it until the two meet.  Under the
+    pre-change law W returns to 0 every few steps, so they meet almost at
+    once.  ``y`` holds no NaN, so no sum has two NaN operands.
     """
     n = y.shape[0]
-    lanes = math.isqrt(n)
-    m = -(-n // lanes)  # steps per lane; the last lane may be shorter
+    short = n < _LANE_MIN
+    m = _LANE if short else -(-n // math.isqrt(n))  # steps per lane; the last may be shorter
     lanes = -(-n // m)
     full = (lanes - 1) * m
     grid = np.empty((m, lanes))
     grid[:, :-1] = y[:full].reshape(lanes - 1, m).T
     grid[: n - full, -1] = y[full:]
     grid[n - full:, -1] = math.nan  # w + nan neither clamps nor alarms
-    prev = np.zeros(lanes)
-    alarming = not math.isnan(h)
+    steps = grid.copy() if short else None
+    enter = np.zeros(lanes)  # the state each lane was folded from
+    want = np.empty(lanes)  # the state its predecessor ends in
+    want[0] = w
+    passes = _PASSES if short else 0
+    limit = 2 * lanes // 3 if short else lanes  # long lanes always go to the walk
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in grid:
-            np.add(prev, row, out=row)
-            # the clamp where w < 0.0: a lane folded from +0.0 never holds
-            # -0.0, and maximum returns a NaN operand as it is
-            np.maximum(row, 0.0, out=row)
-            prev = np.where(row >= h, 0.0, row) if alarming else row
+        # without resets a pass costs a third as much
+        _lockstep(grid, enter, math.nan if short else h)
+        redo = (grid >= h).any(axis=0) if short else np.zeros(lanes, bool)
+        while True:
+            want[1:] = np.where(grid[-1, :-1] >= h, 0.0, grid[-1, :-1])
+            moved = want.view(np.int64) != enter.view(np.int64)
+            count = np.count_nonzero(moved | redo)
+            if count > limit:  # the passes do not pay: the loop or the walk
+                if 4 * count > lanes:
+                    return None
+                break
+            if not passes or count <= _WALK_MAX and not redo.any():
+                break
+            limit, passes = count // 2, passes - 1
+            moved &= want.view(np.int64) != _NEG_ZERO_BITS
+            enter[moved] = want[moved]
+            pick = np.flatnonzero(moved | redo)
+            part = steps[:, pick]
+            _lockstep(part, enter[pick], h)
+            grid[:, pick] = part
+            redo[:] = False
         values = np.empty(n)
         values[:full].reshape(lanes - 1, m)[...] = grid[:, :-1].T
         values[full:] = grid[: n - full, -1]
-        del grid
-        quiet = 0
-        for start in range(0, n, m):
-            stop = min(start + m, n)
-            if w == 0.0 and math.copysign(1.0, w) > 0.0:  # meets the lane at its start
-                w, quiet = _after(values[stop - 1], h), 0
-            else:
-                w, quiet = _refold(w, quiet, y, values, start, stop, h)
-    return w, values
+        del grid, steps
+        enter = enter.tolist()
+        done = 0
+        for j in np.flatnonzero(moved).tolist():
+            if j < done:  # reached by the walk already
+                continue
+            v = w if j == 0 else _after(values[j * m - 1], h)
+            quiet = 0
+            while j < lanes and not _same(v, enter[j]):
+                v, quiet = _refold(v, quiet, y, values, j * m, min(j * m + m, n), h)
+                j += 1
+            done = j
+    return _after(values[n - 1], h), values
+
+
+_NEG_ZERO_BITS = np.array(-0.0).view(np.int64)
+
+
+def _lockstep(grid: np.ndarray, start: np.ndarray, h: float) -> None:
+    """Fold every column of ``grid`` from ``start`` in place, one row per
+    step: each row becomes the lanes' values before any reset."""
+    alarming = not math.isnan(h)
+    prev = start
+    for row in grid:
+        np.add(prev, row, out=row)
+        # the clamp where w < 0.0: a lane not folded from -0.0 never holds
+        # it, and maximum returns a NaN operand as it is
+        np.maximum(row, 0.0, out=row)
+        prev = np.where(row >= h, 0.0, row) if alarming else row
+
+
+def _same(a: float, b: float) -> bool:
+    """a and b are the same float, the sign of a zero included (not NaN)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def _refold(w, quiet, y, values, i, stop, h) -> tuple[float, int]:

@@ -668,9 +668,23 @@ class TestDetectSubcommand:
          "alarm times must lie in [0, 2**63)"),
         ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[-1, 5.5]]}',
          "alarm times must lie in [0, 2**63)"),
+        # integers from 2**64 on, which orjson reads as floats, and the
+        # literals it refuses keep the messages of the json module's reading
+        (f'{{"w": 0.5, "t": {2**64}, "running_max": 0.5, "alarms": []}}',
+         f"t must be below 2**63, got {2**64}"),
+        (f'{{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[{2**64}, 5.5]]}}',
+         "alarm times must lie in [0, 2**63)"),
+        (f'{{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[1, 1{"0" * 400}]]}}',
+         "alarms must be a list of [t, w] pairs"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[1, 2.5], [3, NaN]]}',
+         "alarms must be a list of [t, w] pairs"),
+        ('{"w": 0.5, "t": 2, "running_max": 0.5, "alarms": [[1, true]]}',
+         "alarms must be a list of [t, w] pairs"),
     ], ids=["not-object", "empty-object", "missing-alarms", "nan-w", "negative-w",
             "infinite-max", "negative-t", "fractional-t", "short-alarm", "alarms-number",
-            "not-json", "t-past-int64", "alarm-past-int64", "negative-alarm"])
+            "not-json", "t-past-int64", "alarm-past-int64", "negative-alarm",
+            "t-past-uint64", "alarm-past-uint64", "huge-alarm-value", "nan-alarm-value",
+            "boolean-alarm-value"])
     def test_invalid_monitor_state_refused(self, capsys, tmp_path, text, message):
         state = tmp_path / "state.json"
         state.write_text(text)
@@ -811,6 +825,8 @@ _EDGE_CSV = {
     "whitespace-line": "value\n1\n   \n2\n",
     "cr-breaks": "1\r2\r3\r",
     "cr-after-header": "value\r1\n2\n",
+    "crlf-then-lone-cr": "value\r\n1\r\n2\r",
+    "cr-before-crlf": "1\r\r\n2\r\n",
     "formfeed-break": "1\x0c2\n3\n",
     "formfeed-after-header": "value\x0c1\n2\n",
     "formfeed-after-comma": "1,\x0c2\n3\n",
@@ -974,8 +990,10 @@ class TestReadValues:
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("text", ["value\n0.5\n-1.25\n\n3\n", "\n\n  \nvalue\n1\n2\n",
-                                      "1.5,\n2,3,4\n", "value\r\n1e3\r\n-0.0\r\n"],
-                             ids=["header", "header-after-blanks", "extra-columns", "crlf"])
+                                      "1.5,\n2,3,4\n", "value\r\n1e3\r\n-0.0\r\n",
+                                      "value\r\n1\r\n\r\n  \r\n-0.0,x\r\n0\r\n1e-0\r\n"],
+                             ids=["header", "header-after-blanks", "extra-columns", "crlf",
+                                  "crlf-blank-lines"])
     def test_clean_csv_skips_the_per_line_pass(self, tmp_path, monkeypatch, text):
         data = tmp_path / "obs.csv"
         data.write_bytes(text.encode())
@@ -986,6 +1004,33 @@ class TestReadValues:
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
         assert cli._read_values(str(data), "value").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("data", [
+        b"value\r\n0.5\r\n\r\n-0\r\n1e-0\r\n", b"1\r2\r\n\r3\n", b"value\n1\n\xff\n",
+        b"value\n1\nx\n", b'{"value": 1}\r\n\r\n{"value": -0}\r\n', b'{"value": 1}\n{"value": NaN}\n',
+        "value\n\u0661\u0662\n3\n".encode(),
+    ], ids=["crlf", "lone-cr", "bad-utf8", "non-numeric", "jsonl-crlf", "jsonl-nan", "non-ascii"])
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin_bytes_read_as_its_text(self, monkeypatch, data, errors):
+        # stdin's bytes are read from its buffer and decoded as its text
+        # stream does, without line-end translation: the values and error
+        # texts are those of reading the text itself
+        class Stdin(io.TextIOWrapper):
+            def read(self, *args):
+                raise AssertionError("read the text stream")
+
+        def outcome(stream):
+            monkeypatch.setattr(sys, "stdin", stream)
+            return _outcome(lambda path, field: cli._read_values("-", field), "-")
+
+        try:
+            text = data.decode("utf-8", errors)
+        except UnicodeDecodeError as exc:
+            want = ("UnicodeDecodeError", str(exc))
+        else:
+            want = outcome(io.StringIO(text))
+        assert outcome(Stdin(io.BytesIO(data), encoding="utf-8", errors=errors,
+                             newline="\n")) == want
 
     @pytest.mark.parametrize("text", [
         '{"t": 0, "value": 0.5}\n{"t": 1, "value": -1.25}\n',

@@ -181,6 +181,30 @@ class TestMonitor:
         again = detect.CusumState.from_json(state.to_json())
         assert again == state
 
+    @given(w=st.floats(0.0, allow_infinity=False), top=st.floats(0.0, allow_infinity=False),
+           t=st.integers(0, 2**63 - 1),
+           alarms=st.lists(st.tuples(st.integers(0, 2**63 - 1),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           max_size=40))
+    def test_state_json_round_trip_of_any_alarms(self, w, top, t, alarms):
+        state = detect.CusumState(w=w, t=t, running_max=top, alarms=tuple(alarms))
+        text = state.to_json()
+        again = detect.CusumState.from_json(text)
+        assert repr(again) == repr(state)  # -0.0 keeps its sign
+        assert detect.CusumState.from_json(text.encode()) == state
+
+    def test_state_written_by_earlier_releases_still_loads(self):
+        # 0.6.1 wrote the state with json.dumps: spaces after separators,
+        # and floats such as 1e+16 in repr's form
+        text = ('{"w": 0.75, "t": 42, "running_max": 1e+16, '
+                '"alarms": [[7, 2.5], [30, 1e+16], [41, 3]]}')
+        state = detect.CusumState.from_json(text)
+        assert repr(state) == repr(detect.CusumState(
+            w=0.75, t=42, running_max=1e16, alarms=((7, 2.5), (30, 1e16), (41, 3.0))))
+        assert detect.CusumState.from_json(state.to_json()) == state
+        assert state.to_json() == ('{"w":0.75,"t":42,"running_max":1e16,'
+                                   '"alarms":[[7,2.5],[30,1e16],[41,3.0]]}')
+
     def test_time_past_int64_refused(self):
         # times are written as JSON integers, which hold at most 2**63 - 1
         state = detect.CusumState(t=2**63 - 2)
@@ -310,15 +334,17 @@ def _stream(rng, n, kind, drift, specials):
     return y
 
 
-_LANE_MIN = detect._LANE_MIN
+_LANE_MIN, _SHORT_MIN, _LANE = detect._LANE_MIN, detect._SHORT_MIN, detect._LANE
 
 
 class TestLaneFold:
-    """``monitor_run`` on long batches runs the lane fold; it must give the
-    one-step loop's path, state and alarms bit for bit."""
+    """``monitor_run`` on batches from ``_SHORT_MIN`` increments runs the lane
+    fold; it must give the one-step loop's path, state and alarms bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([0, 500, _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 3 * _LANE_MIN]),
+    @given(n=st.sampled_from([0, 500, _SHORT_MIN - 1, _SHORT_MIN, _SHORT_MIN + 1,
+                              300 * _LANE - 1, 300 * _LANE, 300 * _LANE + 1, 5000,
+                              _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 3 * _LANE_MIN]),
            kind=st.sampled_from(["drift", "zeros", "flip", "log4", "log1.5"]),
            drift=st.floats(-1.0, 1.0),
            specials=st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
@@ -387,7 +413,32 @@ class TestLaneFold:
         # every step; small steps, whose long runs between a clamp and an
         # alarm go through cumsum
         y = np.random.default_rng(11).standard_normal(5 * _LANE_MIN) * scale + drift
+        assert detect._lane_fold(0.0, y, h) is not None  # long lanes never go back to the loop
         want, want_alarms, want_path = monitor_run_loop(detect.CusumState(), y, h)
         got, alarms, path = detect.monitor_run(detect.CusumState(), y, h)
         assert (_bits(path) == _bits(want_path)).all()
+        assert repr((got, alarms)) == repr((want, want_alarms))
+
+    @pytest.mark.parametrize("drift, h, w0, handed_back", [
+        (-0.5, 3.0, 0.0, False), (-0.5, math.nan, 7.5, False), (-0.375, 3.0, 0.0, False),
+        (0.0, math.inf, 0.0, True), (0.5, 3.0, 0.0, True), (0.0, 0.0, 0.0, True),
+        (-0.5, 3.0, -0.0, False),
+    ], ids=["pre-change-h3", "pre-change-scan", "slow-drift-h3", "driftless-inf",
+            "post-change-h3", "h0", "negative-zero"])
+    def test_short_batch(self, drift, h, w0, handed_back):
+        # 5 000 increments with a 400-step change in the middle: lanes that
+        # settle after one or two correction passes and the walk, lanes that
+        # never settle and go back to the loop (a driftless walk at h = inf,
+        # or h = 0, where every step alarms), and a start at -0.0 kept by a
+        # run of -0.0, from which no lockstep pass may fold
+        y = np.random.default_rng(12).standard_normal(5000) + drift
+        y[2000:2400] += 1.0
+        if w0 == 0.0 and math.copysign(1.0, w0) < 0.0:
+            y[:1000] = -0.0
+        assert (detect._lane_fold(w0, y, h) is None) == handed_back
+        start = detect.CusumState(w=w0, t=3, running_max=abs(w0))
+        want, want_alarms, want_path = monitor_run_loop(start, y, h)
+        got, alarms, path = detect.monitor_run(start, y, h)
+        assert (_bits(path) == _bits(want_path)).all()
+        assert _bits([got.w, got.running_max]).tolist() == _bits([want.w, want.running_max]).tolist()
         assert repr((got, alarms)) == repr((want, want_alarms))
