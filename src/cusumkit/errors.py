@@ -14,10 +14,6 @@ class DivergentMoment(CusumkitError):
     """Requested exponential moment is infinite."""
 
 
-class NotAnLLRModel(CusumkitError):
-    """Operation requires log-likelihood-ratio increments (E exp(Y) = 1)."""
-
-
 class TooLarge(CusumkitError):
     """Input beyond a size guard: finite-support keys or their n-step sums
     outside int64, or sparse sum laws past their atom budget."""

@@ -5,7 +5,8 @@ drives the CUSUM recursion W_{n+1} = max(W_n + Y_{n+1}, 0).  The model owns
 its MGF m(lambda) = E exp(lambda*Y), the critical exponent lambda* solving
 m(lambda*) = 1, the moments of rectified partial sums S_n+ = max(S_n, 0),
 the normal law of S_n where it has one (the segment lower bounds of
-bounds.py read it), and the total-variation discrepancy of
+bounds.py read it), and the scaled discrepancy E(1 - exp(lambda*Y))+ of
+the bounds, which at lambda = 1 is the total-variation discrepancy D of
 log-likelihood-ratio increments.
 
 Finite supports take their rectified sums E f(S_k), k = 1..n, from one engine,
@@ -37,7 +38,6 @@ from .errors import (
     DivergentMoment,
     NoConvergence,
     NoPositiveRoot,
-    NotAnLLRModel,
     NotSupportedModel,
     TooLarge,
 )
@@ -214,18 +214,6 @@ class IncrementModel:
         raise TypeError("exact enumeration requires a finite-support model")
 
     # -- discrepancy ------------------------------------------------------
-
-    def tv_discrepancy(self) -> float:
-        """D = E(1 - exp(Y))+ for log-likelihood-ratio increments.
-
-        Equals the total-variation discrepancy between the default and
-        disturbed distributions generating Y.
-        """
-        if not self.is_llr:
-            raise NotAnLLRModel(
-                f"{self.spec()} increments are not log-likelihood ratios"
-            )
-        return self.one_minus_exp_pos_mean(1.0)
 
     def one_minus_exp_pos_mean(self, lam: float) -> float:
         """E(1 - exp(lam*Y))+, the scaled discrepancy used by the bounds."""

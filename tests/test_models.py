@@ -20,7 +20,6 @@ from cusumkit.errors import (
     DivergentMoment,
     NoConvergence,
     NoPositiveRoot,
-    NotAnLLRModel,
     TooLarge,
 )
 
@@ -69,7 +68,6 @@ class TestNormalClosedForms:
     def test_discrepancy_closed_form(self, nllr):
         # E(1 - e^Y)+ for the llr increment, against quadrature
         want = quad_one_minus_exp_pos(nllr.loc, nllr.scale, 1.0)
-        assert nllr.tv_discrepancy() == pytest.approx(want, rel=1e-10)
         assert nllr.one_minus_exp_pos_mean(1.0) == pytest.approx(want, rel=1e-10)
 
     def test_scaled_discrepancy_general_lambda(self):
@@ -839,27 +837,22 @@ class TestValidationAndGrammar:
         assert models.NormalLLR(1.34e154).is_llr
         models.ShiftedNormal(-1.0, 1.34e154)
 
-    def test_non_llr_discrepancy_rejected(self):
-        with pytest.raises(NotAnLLRModel):
-            models.ShiftedNormal(-1.0, 1.0).tv_discrepancy()
-        with pytest.raises(NotAnLLRModel, match="^bernoulli-pm:p=0.4"):
-            models.BernoulliPM(0.4).tv_discrepancy()
-
     def test_llr_is_a_property_of_the_law(self, nllr):
         # the shifted normal N(-1/2, 1) is the law of NormalLLR(1)
         same = models.ShiftedNormal(-0.5, 1.0)
         assert same.is_llr
-        assert same.tv_discrepancy() == nllr.tv_discrepancy()
+        assert same.one_minus_exp_pos_mean(1.0) == nllr.one_minus_exp_pos_mean(1.0)
         # the two-point table at p = 1/(1+e) is BernoulliPM's LLR point,
         # flagged or not
         table = models.DiscreteTable((1.0, -1.0), (BERN_LLR_P, 1.0 - BERN_LLR_P))
         assert table.is_llr
-        assert table.tv_discrepancy() == models.BernoulliPM(BERN_LLR_P).tv_discrepancy()
+        assert (table.one_minus_exp_pos_mean(1.0)
+                == models.BernoulliPM(BERN_LLR_P).one_minus_exp_pos_mean(1.0))
 
     def test_bernoulli_llr_point(self):
         m = models.BernoulliPM(BERN_LLR_P)
         assert m.is_llr
-        assert m.tv_discrepancy() == pytest.approx(
+        assert m.one_minus_exp_pos_mean(1.0) == pytest.approx(
             (1 - BERN_LLR_P) * (1 - math.exp(-1)), rel=1e-12
         )
 

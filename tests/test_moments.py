@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cusumkit import bounds, models, moments
-from cusumkit.errors import DivergentMoment, FormulaMismatch
+from cusumkit.errors import DivergentMoment, FormulaMismatch, NoConvergence
 
 import _oracles
 from _oracles import (
@@ -95,8 +95,9 @@ class TestCrossMethodIdentity:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_matrix_refuses_non_finite_x(self, bad):
         # both routes, ub1 behind the recursive one and asymptote_slope
-        # refuse a model whose x_4 is not finite; unchecked, ub1 would fall
-        # back to ub3's level and asymptote_slope run 5 000 terms of NaN
+        # refuse a model whose x_4 is not finite, all through _x_seq;
+        # unchecked, ub1 would fall back to ub3's level and asymptote_slope
+        # read 2^15 terms of NaN before giving NoConvergence
         class BadX(models.ShiftedNormal):
             def rectified_exp_seq(self, lam, n):
                 xs = super().rectified_exp_seq(lam, n)
@@ -171,9 +172,9 @@ class TestConvolutionEngine:
             reject()
         np.testing.assert_allclose(moments.convolution_recursion(xs), want,
                                    rtol=1e-13, atol=0.0)
-        # asymptote_slope's inputs x_k - 2 have both signs, and b_n may
-        # cancel to far below its terms; each b_n is then held to 1e-13 of
-        # the sum of its terms' magnitudes, which is b_n of the inputs |x_k - 2|
+        # inputs of both signs, such as x_k - 2, let b_n cancel to far
+        # below its terms; each b_n is then held to 1e-13 of the sum of its
+        # terms' magnitudes, which is b_n of the inputs |x_k - 2|
         mixed = xs - 2.0
         scale = convolution_recursion_loop(np.abs(mixed))
         if not np.isfinite(scale).all():
@@ -471,4 +472,38 @@ class TestAsymptote:
         for delta in (0.5, 1.0, 2.0):
             m = models.NormalLLR(delta)
             slope, _ = moments.asymptote_slope(m)
-            assert 0.0 < slope < m.tv_discrepancy()
+            assert 0.0 < slope < bounds.scaled_discrepancy(m)
+
+    @pytest.mark.parametrize("p", [0.25, 0.3, 0.4, 0.45])
+    def test_bernoulli_closed_form(self, p):
+        # M_{n+1} - M_n = (1 - 2p) P(W_n = 0) and P(W_inf = 0) = (1 - 2p)/(1 - p)
+        slope, intercept = moments.asymptote_slope(models.BernoulliPM(p))
+        assert slope == pytest.approx((1 - 2 * p) ** 2 / (1 - p), rel=1e-9, abs=0.0)
+        assert intercept == pytest.approx(1 / (1 - p), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [
+        "table:y=3;-1,p=0.2;0.8",
+        "table:y=2;-1,p=0.3;0.7",
+        "table:y=1;-1;0,p=0.3;0.5;0.2",
+        "normal-llr:delta=0.1",
+        "normal-llr:delta=0.5",
+        "normal-llr:delta=1",
+        "normal-llr:delta=2",
+        "normal-llr:delta=3",
+    ])
+    def test_matches_growth_at_long_horizon(self, spec):
+        # the first two tables return to 0 only every 4 and 3 steps; w = 1 200
+        # is a multiple of each period, so the difference quotient holds no
+        # partial period
+        model = models.parse_model(spec)
+        slope, intercept = moments.asymptote_slope(model)
+        n, w = 20_000, 1_200
+        vals = moments.cusum_mgf_recursive(model, models.cached_lambda_star(model), n).values
+        assert slope == pytest.approx((vals[n] - vals[n - w]) / w, rel=1e-9, abs=0.0)
+        assert vals[n] - slope * n == pytest.approx(intercept, rel=0.0, abs=1e-8)
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        # BernoulliPM(0.45) needs 8 192 terms; 256 are refused, not summed
+        monkeypatch.setattr(moments, "_SLOPE_MAX_TERMS", 256)
+        with pytest.raises(NoConvergence, match="within 256 terms"):
+            moments.asymptote_slope(models.BernoulliPM(0.45))
