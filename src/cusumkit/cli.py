@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 
@@ -125,8 +126,16 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 def _emit(args, result, csv_header=None, csv_rows=None) -> None:
     """Write ``result`` (JSON) or the ``csv_rows`` Table (CSV) to
-    ``args.output``.  The whole text is built before the file is opened, so
-    a failure leaves an existing file as it was."""
+    ``args.output``.
+
+    The whole text is built before the file is opened, so a failure before
+    the write leaves an existing file as it was.  The file is opened
+    without O_TRUNC, written whole and, if it is a regular file, cut to
+    the length written: truncating first frees the file's blocks, and ext4
+    then starts writeback at close.  The path keeps its inode, mode and
+    links, and a device, FIFO or tty is not cut.  A crash mid-write can
+    leave old and new bytes mixed; the monitor's state file, which must
+    survive one, is written by ``_replace_file``."""
     config = _config_of(args)
     if args.format == "json":
         payload = {
@@ -149,8 +158,11 @@ def _emit(args, result, csv_header=None, csv_rows=None) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as out:
+        fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as out:
             out.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                out.truncate()  # flushes, then cuts at the end of the text
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,54 @@ class TestPlumbing:
         assert target.read_text() == "earlier output\n"
 
 
+class TestOutputFile:
+    """--output rewrites an existing file in place and cuts it to length."""
+
+    ARGV = {
+        "json": ["figures", "--which", "2", "--n", "200"],
+        "csv": ["moments", "--model", "normal-llr:delta=1", "--n", "300",
+                "--format", "csv"],
+    }
+
+    def written(self, capsys, target, fmt):
+        code, out, _ = run(capsys, *self.ARGV[fmt], "--output", str(target))
+        assert code == 0 and out == ""
+        return target.read_bytes()
+
+    @pytest.mark.parametrize("stale", [b"stale,0.123456789\n" * 28_000, b"x\n"],
+                             ids=["longer_500KB", "shorter"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_existing_file_gets_the_new_file_bytes(self, capsys, tmp_path, fmt, stale):
+        # the config echoes the path, so both runs write to one path
+        target = tmp_path / "out.txt"
+        fresh = self.written(capsys, target, fmt)
+        reference = tmp_path / "reference.txt"
+        open(reference, "w").close()
+        assert target.stat().st_mode == reference.stat().st_mode  # umask applied
+        target.write_bytes(stale)
+        assert self.written(capsys, target, fmt) == fresh
+
+    def test_devnull(self, capsys):
+        code, out, err = run(capsys, "regimes", "--model", "normal-llr:delta=1",
+                             "--lambda", "0.5", "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_symlink_and_target_are_kept(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("earlier output, longer than the new one\n" * 100)
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "regimes", "--model", "normal-llr:delta=1",
+                         "--lambda", "0.5", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink() and link.resolve() == target
+        st = target.stat()
+        assert st.st_ino == inode and st.st_mode & 0o777 == 0o640
+        assert json.loads(target.read_text())["result"]["kind"] == "subcritical"
+
+
 class TestHorizons:
     @pytest.mark.parametrize("argv, flag, value", [
         (["queue-bound", "--model", "shifted-normal:a=-0.5,sigma=1", "--n", "-4",
