@@ -3,9 +3,11 @@
 Monte Carlo uses counter-based Philox substreams (one fixed-size slice per
 replication), so results are bit-identical for a given seed regardless of
 chunking or worker count.  Exact enumeration runs a dynamic program over
-the joint states (W_n, max W) for finite-support increments, held as int64
-arrays of keys on the support's 1e-12 grid (models.Lattice), and is the
-trusted oracle for the analytic moment engine.
+the joint states (W_n, max W) for finite-support increments, keyed on the
+support's 1e-12 grid (models.Lattice): while the states fill their box, as
+one mass vector over its cells in packed order, else as int64 key arrays
+that a sort merges.  It is the trusted oracle for the analytic moment
+engine.
 """
 
 from __future__ import annotations
@@ -46,12 +48,16 @@ __all__ = [
 _TARGET_CHUNK_ELEMENTS = 1_000_000
 # draws per refill of a stopping-time walk; it sizes every substream slice
 _EXCURSION_BLOCK = 256
-# exact_enumerate merges a step by a dense (W, max W) index while its box
-# holds at most this many cells per candidate state, else by sorting.
-# Timed on the steps of eight lattice tables (2-core x86-64 host): below 8
-# cells per candidate the dense merge was 1.7-4.7x faster, at 8-16 the two
-# tied, and at 16-32 the sort was 1.3x faster.
+# exact_enumerate merges a step densely while its box holds at most this
+# many cells per candidate state, else by sorting.  The two merges round
+# their sums differently, so the rule fixes the bits of every result.  It
+# was set where an earlier dense merge tied with the sort; on the steps of
+# eight lattice tables (2-core x86-64 host) the packed dense step, with
+# its table already built, was 1.6x faster than the sort at 16-32 cells per
+# candidate and 1.9x at 32-64.
 _CELLS_PER_CANDIDATE = 8
+# exact_enumerate's target table is filled in bands of at most this many rows
+_TABLE_BAND_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -321,10 +327,20 @@ class ExactDistribution:
         return float(np.dot(vals * vals, probs) - mu * mu)
 
     def mgf_w(self, lam: float) -> float:
+        """E exp(lam W_n); DivergentMoment where it overflows."""
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam:g}")
         vals, probs = self.w_marginal()
-        return float(np.dot(np.exp(lam * vals), probs))
+        with np.errstate(over="ignore"):  # refused below
+            value = float(np.dot(np.exp(lam * vals), probs))
+        if not math.isfinite(value):
+            raise DivergentMoment(
+                f"E exp(lam * W_{self.n}) overflows at lambda = {lam:g}")
+        return value
 
     def prob_max_ge(self, h: float) -> float:
+        if math.isnan(h):
+            raise ValueError(f"threshold h must be a number, got {h:g}")
         return float(sum(self.probs[self.max_keys * _GRID >= h - 1e-15].tolist()))
 
 
@@ -339,15 +355,18 @@ def exact_enumerate(
     caps the live states after each step.
 
     Keys count in units of the lattice's d, so after a step every state
-    lies in the box [0, top]^2, where top is the largest max W so far plus
-    max(hi, 0) / d.  When the box holds at most 8 (_CELLS_PER_CANDIDATE)
-    cells per candidate state, the step merges by the dense index
-    m * (top + 1) + w with one np.bincount; its nonzero cells come out in
-    the np.lexsort order of the sort merge (models._merge_atoms), which
-    the step falls back to when the box is mostly empty.  At 8 cells per candidate the two
-    merges take about the same time.  The bincount adds the masses of a
-    state one at a time and np.add.reduceat in partial sums, so the two
-    agree to rounding.
+    lies in the box 0 <= w <= m <= top, where top is the largest max W so
+    far plus max(hi, 0) / d.  While the box holds at most 8
+    (_CELLS_PER_CANDIDATE) cells per candidate state, a step is dense: the
+    states are numbered in packed order m (m + 1) / 2 + w, a table grown
+    with the box holds the packed target of every (state, atom) pair, and
+    one np.bincount over a prefix of that table adds the step's products
+    into the next packed mass vector.  Otherwise the step sorts its
+    candidates (models._merge_atoms), whose np.lexsort order is the packed
+    order; the states change form only where the choice flips.  The
+    bincount adds each state's masses one at a time, source by source, and
+    np.add.reduceat in partial sums, so the two merges agree to rounding,
+    and the choice at each step rests on the live states alone.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -355,38 +374,104 @@ def exact_enumerate(
     lat.check_horizon(n)
     steps = lat.keys // lat.d
     rise = max(lat.hi, 0) // lat.d
+    probs = lat.probs
     kw = km = np.zeros(1, dtype=np.int64)
     q = np.ones(1)
-    for _ in range(n):
-        w = np.maximum(kw[:, None] + steps, 0)
-        m = np.maximum(km[:, None], w)
-        p = np.outer(q, lat.probs)
-        side = int(km[-1]) + rise + 1  # km ascends: km[-1] is the largest
-        if side * side <= _CELLS_PER_CANDIDATE * p.size:
-            kw, km, q = _merge_dense(w, m, p, side)
+    v = None  # the packed masses, 0 at dead states, while steps are dense
+    top, live = 0, 1  # the largest max W of a live state; the live states
+    table = None
+    # every mass after k steps is at least min(p)^k, so no mass is pruned
+    # while floor, with a factor 2 for the rounding, stays above _PRUNE
+    floor, p_min = 1.0, float(probs.min())
+    for k in range(n):
+        floor *= p_min
+        prune = floor < 2.0 * _PRUNE
+        side = top + rise + 1
+        if side * side <= _CELLS_PER_CANDIDATE * live * probs.size:
+            if v is None:
+                v = np.zeros(_tri(top + 1))
+                v[_tri(km) + kw] = q
+            if table is None or table.shape[0] < _tri(top + 1):
+                # the sources' box up to the last step, at most about twice
+                # the current cells, so a call the budget stops early
+                # builds no table for the horizon's box
+                reach = min(math.isqrt(2 * (top + 1) ** 2) + 1,
+                            top + (n - 1 - k) * rise + 1)
+                table = None  # the old table is not kept while building
+                table = _targets(reach, steps)
+            v = _dense_step(v[: _tri(top + 1)], table, probs, prune, _tri(side))
+            if prune:
+                cells = np.flatnonzero(v)
+                live = cells.size
+                top = (math.isqrt(8 * int(cells[-1]) + 1) - 1) // 2
+            else:  # the all-up path keeps state (top, top) alive
+                live = int(np.count_nonzero(v))
+                top = side - 1
         else:
+            if v is not None:
+                kw, km, q = _unpack(v)
+                v = None
+            w = np.maximum(kw[:, None] + steps, 0)
+            m = np.maximum(km[:, None], w)
+            p = np.outer(q, probs)
             (kw, km), q = _merge_atoms((w.ravel(), m.ravel()), p.ravel())
-        if q.size > state_budget:
+            live, top = q.size, int(km[-1])
+        if live > state_budget:
             raise StateBudgetExceeded(
-                f"{q.size} states exceed the budget of {state_budget}"
+                f"{live} states exceed the budget of {state_budget}"
             )
+    if v is not None:
+        kw, km, q = _unpack(v)
     kw, km = kw * lat.d, km * lat.d
     for a in (kw, km, q):
         a.setflags(write=False)
     return ExactDistribution(n=n, w_keys=kw, max_keys=km, probs=q)
 
 
-def _merge_dense(w: np.ndarray, m: np.ndarray, p: np.ndarray, side: int):
-    """_merge_atoms((w, m), p) for keys in [0, side): one bincount over the
-    index m * side + w of the masses that survive the pruning."""
-    cell = m * side + w
-    keep = p >= _PRUNE
-    if not keep.all():
-        cell, p = cell[keep], p[keep]
-    mass = np.bincount(cell.ravel(), weights=p.ravel())
-    cells = np.flatnonzero(mass)
-    km, kw = np.divmod(cells, side)
-    return kw, km, mass[cells]
+def _tri(m):
+    """m (m + 1) / 2: the packed index of state (w, m) = (0, m)."""
+    return m * (m + 1) // 2
+
+
+def _targets(side: int, steps: np.ndarray) -> np.ndarray:
+    """Packed target of every (state, atom) pair of the box [0, side):
+    row p holds the targets of packed state p, in support order.  Filled
+    a band of max W at a time, so that its temporaries stay small."""
+    table = np.empty((_tri(side), steps.size), dtype=np.int64)
+    band = max(1, _TABLE_BAND_ROWS // side)
+    for lo in range(0, side, band):
+        hi = min(lo + band, side)
+        m = np.repeat(np.arange(lo, hi, dtype=np.int64), np.arange(lo + 1, hi + 1))
+        w = np.arange(_tri(lo), _tri(hi), dtype=np.int64) - _tri(m)
+        w2 = np.maximum(w[:, None] + steps, 0)
+        table[_tri(lo):_tri(hi)] = _tri(np.maximum(m[:, None], w2)) + w2
+    return table
+
+
+def _dense_step(v, table, probs, prune, size):
+    """Masses of the next packed box of the given size from the packed
+    masses v: the products v[s] * p(atom) in source-major order, the ones
+    below _PRUNE zeroed when prune, then one bincount over the first
+    v.size rows of table.  Zeros add nothing, so each state's mass is the
+    sum of its live candidates, added one at a time in source-major
+    order."""
+    prod = np.empty((v.size, probs.size))
+    # one multiply per atom: a broadcast over rows of a few atoms is slower
+    for j, pj in enumerate(probs.tolist()):
+        np.multiply(v, pj, out=prod[:, j])
+    if prune:
+        prod[prod < _PRUNE] = 0.0
+    return np.bincount(table[: v.size].ravel(), weights=prod.ravel(),
+                       minlength=size)
+
+
+def _unpack(v: np.ndarray):
+    """(kw, km, q) of the live states of a packed mass vector, in packed
+    order, which is the np.lexsort order of models._merge_atoms."""
+    cells = np.flatnonzero(v)
+    starts = _tri(np.arange(math.isqrt(2 * v.size) + 2, dtype=np.int64))
+    km = np.searchsorted(starts, cells, side="right") - 1
+    return cells - starts[km], km, v[cells]
 
 
 # ---------------------------------------------------------------------------

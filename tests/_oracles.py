@@ -8,8 +8,9 @@ row-scaled MGF system, np.convolve's direct self-convolution for the
 variance's cross sum, one exp and one dot product per step of the
 rectified sums of a finite support, double loops for maxima, one segment
 bound per segment length, one ``max`` per monitor step, one parse per data
-line, one formatting call per output value, scipy's brentq for roots and a
-50-digit decimal bisection for the critical exponent.
+line, one formatting call per output value, one candidate array per step
+of exact enumeration, scipy's brentq for roots and a 50-digit decimal
+bisection for the critical exponent.
 The production code must match these, never the other way around.
 """
 
@@ -28,7 +29,12 @@ from scipy.special import ndtri_exp
 
 from cusumkit import models, moments
 from cusumkit.detect import CusumState
-from cusumkit.errors import CusumkitError, DivergentMoment, FormulaMismatch
+from cusumkit.errors import (
+    CusumkitError,
+    DivergentMoment,
+    FormulaMismatch,
+    StateBudgetExceeded,
+)
 
 
 def normal_pdf(x, mu, sd):
@@ -373,6 +379,65 @@ def path_cusum_stats(support, probs, n):
             m = max(m, w)
         out.append((w, m, p))
     return out
+
+
+def enumerate_by_candidates(model, n, cells_per_candidate=8, state_budget=10_000_000):
+    """Joint law of (W_n, max W) as (w_keys, max_keys, probs) in d units,
+    one candidate array per step: every state times every atom, then a
+    dense bincount over the index m * side + w while the box holds at most
+    cells_per_candidate cells per candidate, else a sort merge.  The
+    per-step enumerator of cusumkit 0.7.1, kept to pin later ones bit for
+    bit."""
+    lat = model.lattice()
+    lat.check_horizon(n)
+    steps = lat.keys // lat.d
+    rise = max(lat.hi, 0) // lat.d
+    kw = km = np.zeros(1, dtype=np.int64)
+    q = np.ones(1)
+    for _ in range(n):
+        w = np.maximum(kw[:, None] + steps, 0)
+        m = np.maximum(km[:, None], w)
+        p = np.outer(q, lat.probs)
+        side = int(km[-1]) + rise + 1  # km ascends: km[-1] is the largest
+        if side * side <= cells_per_candidate * p.size:
+            kw, km, q = _merge_dense(w, m, p, side)
+        else:
+            (kw, km), q = _merge_sorted((w.ravel(), m.ravel()), p.ravel())
+        if q.size > state_budget:
+            raise StateBudgetExceeded(
+                f"{q.size} states exceed the budget of {state_budget}"
+            )
+    return kw, km, q
+
+
+def _merge_dense(w, m, p, side):
+    """_merge_sorted((w, m), p) for keys in [0, side): one bincount over the
+    index m * side + w of the masses that survive the pruning."""
+    cell = m * side + w
+    keep = p >= 1e-300
+    if not keep.all():
+        cell, p = cell[keep], p[keep]
+    mass = np.bincount(cell.ravel(), weights=p.ravel())
+    cells = np.flatnonzero(mass)
+    km, kw = np.divmod(cells, side)
+    return kw, km, mass[cells]
+
+
+def _merge_sorted(keys, mass):
+    """Drop masses below 1e-300, then sum the masses of equal key tuples,
+    returned in np.lexsort order."""
+    keep = mass >= 1e-300
+    if not keep.all():
+        keys = tuple(k[keep] for k in keys)
+        mass = mass[keep]
+    order = np.lexsort(keys)
+    keys = tuple(k[order] for k in keys)
+    same = np.ones(mass.size, dtype=bool)  # key tuple equals the previous one
+    same[0] = False
+    for k in keys:
+        same[1:] &= k[1:] == k[:-1]
+    starts = np.flatnonzero(~same)
+    return tuple(k[starts] for k in keys), np.add.reduceat(mass[order], starts)
 
 
 def path_mean_var_mgf(support, probs, n, lam):

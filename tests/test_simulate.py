@@ -21,7 +21,7 @@ from cusumkit.errors import (
     TooLarge,
 )
 
-from _oracles import path_cusum_stats
+from _oracles import enumerate_by_candidates, path_cusum_stats
 
 BERN_LLR_P = 1.0 / (1.0 + math.e)
 # unsorted support with a zero-probability atom
@@ -29,6 +29,9 @@ TABLE5 = models.DiscreteTable(
     (2.0, -1.0, 0.5, -3.0, 1.0), (0.1, 0.4, 0.0, 0.2, 0.3)
 )
 TABLE3 = models.DiscreteTable((1.0, -0.5, -2.0), (0.25, 0.5, 0.25))
+# the five-point integer table of the benchmark's exact_tables workload
+BENCH_TABLE = models.DiscreteTable((-2.0, -1.0, 0.0, 1.0, 2.0),
+                                   (0.25, 0.3, 0.2, 0.15, 0.1))
 # log-ratio increments log(1/2), log(3/2): no coarse lattice holds them
 IRRATIONAL = detect.DiscretePair((0.0, 1.0), (0.5, 0.5), (0.25, 0.75)).increment_model()
 
@@ -375,6 +378,45 @@ class TestExactEnumeration:
         with pytest.raises(StateBudgetExceeded):
             simulate.exact_enumerate(m, 40, state_budget=100)
 
+    def test_budget_guard_on_a_dense_step(self):
+        # BernoulliPM(0.3) merges every step densely; the live states pass
+        # 500 at the same step and count as with the candidate enumerator
+        model = models.BernoulliPM(0.3)
+        with pytest.raises(StateBudgetExceeded) as oracle:
+            enumerate_by_candidates(model, 100, state_budget=500)
+        with mock.patch.object(simulate, "_merge_atoms",
+                               wraps=simulate._merge_atoms) as sort_merge:
+            with pytest.raises(StateBudgetExceeded,
+                               match=f"^{oracle.value}$"):
+                simulate.exact_enumerate(model, 100, state_budget=500)
+        assert sort_merge.call_count == 0
+
+    def test_budget_stops_a_long_horizon_early(self):
+        # the target table grows with the box, so a budget that trips at
+        # step 31 of a million builds no table for the million-step box
+        with pytest.raises(StateBudgetExceeded,
+                           match="^506 states exceed the budget of 500$"):
+            simulate.exact_enumerate(models.BernoulliPM(0.3), 10**6,
+                                     state_budget=500)
+
+    def test_prob_max_ge_refuses_nan(self):
+        dist = simulate.exact_enumerate(models.BernoulliPM(0.3), 10)
+        with pytest.raises(ValueError, match="^threshold h must be a number, got nan$"):
+            dist.prob_max_ge(math.nan)
+        assert dist.prob_max_ge(-1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mgf_w_refuses_a_non_finite_lambda(self):
+        dist = simulate.exact_enumerate(models.BernoulliPM(0.3), 10)
+        with pytest.raises(ValueError, match="^lambda must be finite, got nan$"):
+            dist.mgf_w(math.nan)
+
+    def test_mgf_w_overflow_raises(self):
+        dist = simulate.exact_enumerate(models.BernoulliPM(0.3), 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentMoment, match="overflows at lambda = 1e"):
+                dist.mgf_w(1e6)
+
     def test_negative_horizon_refused(self):
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             simulate.exact_enumerate(models.BernoulliPM(0.3), -3)
@@ -409,6 +451,15 @@ def _lattice_tables(draw):
     return models.DiscreteTable(tuple(k * scale for k in keys), probs)
 
 
+def _assert_candidate_law(dist, model, n, **kwargs):
+    """dist is bit for bit the candidate enumerator's law of n steps."""
+    kw, km, q = enumerate_by_candidates(model, n, **kwargs)
+    d = model.lattice().d
+    np.testing.assert_array_equal(dist.w_keys, kw * d)
+    np.testing.assert_array_equal(dist.max_keys, km * d)
+    np.testing.assert_array_equal(dist.probs, q)
+
+
 def _enumerate_by(model, n, cells_per_candidate):
     with mock.patch.object(simulate, "_CELLS_PER_CANDIDATE", cells_per_candidate):
         return simulate.exact_enumerate(model, n)
@@ -422,6 +473,8 @@ class TestDenseMerge:
     def test_matches_sort_merge_and_paths(self, model, n):
         dense = _enumerate_by(model, n, 2**62)  # every step by the dense index
         by_sort = _enumerate_by(model, n, 0)  # every step by sorting
+        _assert_candidate_law(dense, model, n, cells_per_candidate=2**62)
+        _assert_candidate_law(by_sort, model, n, cells_per_candidate=0)
         np.testing.assert_array_equal(dense.w_keys, by_sort.w_keys)
         np.testing.assert_array_equal(dense.max_keys, by_sort.max_keys)
         np.testing.assert_allclose(dense.probs, by_sort.probs, rtol=1e-14, atol=0)
@@ -454,6 +507,45 @@ class TestDenseMerge:
                                wraps=simulate._merge_atoms) as sort_merge:
             simulate.exact_enumerate(models.BernoulliPM(0.3), 100)
         assert sort_merge.call_count == 0
+
+
+class TestPackedSteps:
+    """exact_enumerate's dense steps on the packed box against the
+    per-step candidate enumerator, bit for bit, sort steps included."""
+
+    @given(model=_lattice_tables(), n=st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_tables_match_candidates(self, model, n):
+        _assert_candidate_law(simulate.exact_enumerate(model, n), model, n)
+
+    @pytest.mark.parametrize("model, n", [(models.BernoulliPM(0.3), 100),
+                                          (BENCH_TABLE, 30)],
+                             ids=["bernoulli", "bench-table"])
+    def test_dense_cases_match_candidates(self, model, n):
+        _assert_candidate_law(simulate.exact_enumerate(model, n), model, n)
+
+    @pytest.mark.parametrize("band_rows", [1, 50])
+    def test_table_filled_in_bands(self, band_rows):
+        # bands of one and of a few max W values, against one band per table
+        for model, n in [(models.BernoulliPM(0.3), 60), (BENCH_TABLE, 20)]:
+            with mock.patch.object(simulate, "_TABLE_BAND_ROWS", band_rows):
+                dist = simulate.exact_enumerate(model, n)
+            _assert_candidate_law(dist, model, n)
+
+    @pytest.mark.parametrize("model, n", [
+        # eight steps of +2 weigh 1e-320: masses below 1e-300 appear from
+        # step 8 on
+        (models.DiscreteTable((1.0, -1.0, 2.0), (0.5, 0.5, 1e-40)), 20),
+        # paths with a +5 fall below 1e-300 from step 6 on; the box of the
+        # live states, which sets each later step's merge, stops growing
+        (models.DiscreteTable((-6.0, -3.0, 0.0, 5.0),
+                              (4 / 14, 3 / 14, 7 / 14, 1e-59)), 14),
+    ], ids=["plus-two", "plus-five"])
+    def test_pruning_from_a_mid_run_step(self, model, n):
+        # the all-up path's state (k hi, k hi) is pruned by step n
+        assert simulate.exact_enumerate(model, n).max_keys[-1] < n * model.lattice().hi
+        for k in range(1, n + 1):
+            _assert_candidate_law(simulate.exact_enumerate(model, k), model, k)
 
 
 class TestEnumerationOracle:
